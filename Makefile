@@ -97,9 +97,16 @@ examples:
 	dune build examples/
 
 # Warnings-as-errors build plus a clean-tree check: fails when the build
-# leaves the working tree dirty or drops untracked files outside _build.
+# leaves the working tree dirty or drops untracked files outside _build,
+# or when any file under _scratch/ (local debug output) is tracked.
 lint:
 	dune build @all --profile lint
+	@tracked="$$(git ls-files _scratch)"; \
+	if [ -n "$$tracked" ]; then \
+		echo "lint: files under _scratch/ must not be committed:"; \
+		echo "$$tracked"; \
+		exit 1; \
+	fi
 	@status="$$(git status --porcelain)"; \
 	if [ -n "$$status" ]; then \
 		echo "lint: dirty or untracked files after dune build:"; \

@@ -336,25 +336,20 @@ let create ?fault_policy ~tech ~params ~crg ~cdcg ~placement () =
     fault_policy.Wormhole.max_retries * fault_policy.Wormhole.retry_backoff
   in
   let tr = params.Noc_params.tr and tl = params.Noc_params.tl in
-  let max_routers = ref 1 in
-  for s = 0 to tiles - 1 do
-    for d = 0 to tiles - 1 do
-      let r = Array.length (Crg.path crg ~src:s ~dst:d).Crg.routers in
-      if r > !max_routers then max_routers := r
-    done
-  done;
+  let max_routers = max 1 (Crg.max_router_count crg) in
   let layers = (Crg.mesh crg).Nocmap_noc.Mesh.layers in
-  let ebit_stride = if layers = 1 then 0 else !max_routers + 1 in
-  let ebit_tab =
-    Array.make ((!max_routers + 1) * max 1 layers) 0.0
-  in
-  for tsv = 0 to layers - 1 do
-    for r = 1 to !max_routers do
+  let ebit_stride = if layers = 1 then 0 else max_routers + 1 in
+  (* A fault reroute can climb and descend again, so the TSV rows run
+     to the CRG's largest count, not to [layers - 1]. *)
+  let max_tsv = Crg.max_tsv_count crg in
+  let ebit_tab = Array.make ((max_routers + 1) * (max_tsv + 1)) 0.0 in
+  for tsv = 0 to max_tsv do
+    for r = 1 to max_routers do
       (* A path with [tsv] vertical links has at least [tsv + 1]
          routers; the unreachable combinations stay 0 and are never
          looked up. *)
       if tsv <= r - 1 then
-        ebit_tab.((tsv * (!max_routers + 1)) + r) <-
+        ebit_tab.((tsv * (max_routers + 1)) + r) <-
           Equations.ebit_path ~tsv tech ~routers:r
     done
   done;

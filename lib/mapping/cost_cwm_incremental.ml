@@ -1,11 +1,11 @@
 module Crg = Nocmap_noc.Crg
 module Cwg = Nocmap_model.Cwg
-module Equations = Nocmap_energy.Equations
 
 type t = {
-  tech : Nocmap_energy.Technology.t;
-  crg : Crg.t;
-  cwg : Cwg.t;
+  eval : Cost_cwm.t;               (* energy-per-bit table of the pair classes *)
+  tiles : int;
+  routers : int array;             (* Crg.router_counts *)
+  tsv : int array;                 (* Crg.tsv_counts *)
   current : int array;             (* placement, mutated in place *)
   occupant : int array;            (* tile -> core or -1 *)
   partners : (int * int * bool) list array;
@@ -13,36 +13,26 @@ type t = {
   mutable total : float;
 }
 
-(* A router count of 0 marks an unreachable pair of a faulty CRG: the
-   packet is dropped by the simulator and spends no energy (matching
-   {!Cost_cwm.dynamic_energy} via {!Cwg.of_cdcg} projections of faulted
-   instances). *)
-let term_energy t ~routers ~tsv ~bits =
-  if routers = 0 then 0.0
-  else Equations.communication_energy ~tsv t.tech ~routers ~bits
-
 (* Energy change over every communication involving [core] between two
    position assignments, in a single pass over the incidence list: each
    term is evaluated at its before and after endpoints together, so a
    swap costs one traversal per moved core instead of two.  Terms whose
    router and TSV counts are both unchanged — in particular the terms
    between two swapped cores, whose routes keep their length and
-   vertical extent — drop out exactly. *)
+   vertical extent — drop out exactly.  A router count of 0 marks an
+   unreachable pair of a faulty CRG: its packets are dropped and the
+   {!Cost_cwm.pair_ebit} table charges them nothing. *)
 let core_delta t core ~before ~after =
   let acc = ref 0.0 in
   let add (other, bits, outgoing) =
     let src, dst = if outgoing then (core, other) else (other, core) in
-    let bs = before src and bd = before dst in
-    let as_ = after src and ad = after dst in
-    let rb = Crg.router_count_on_path t.crg ~src:bs ~dst:bd in
-    let ra = Crg.router_count_on_path t.crg ~src:as_ ~dst:ad in
-    let tb = Crg.tsv_links_on_path t.crg ~src:bs ~dst:bd in
-    let ta = Crg.tsv_links_on_path t.crg ~src:as_ ~dst:ad in
-    if ra <> rb || ta <> tb then
+    let pb = (before src * t.tiles) + before dst in
+    let pa = (after src * t.tiles) + after dst in
+    if t.routers.(pa) <> t.routers.(pb) || t.tsv.(pa) <> t.tsv.(pb) then begin
+      let w = float_of_int bits in
       acc :=
-        !acc
-        +. term_energy t ~routers:ra ~tsv:ta ~bits
-        -. term_energy t ~routers:rb ~tsv:tb ~bits
+        !acc +. (w *. Cost_cwm.pair_ebit t.eval pa) -. (w *. Cost_cwm.pair_ebit t.eval pb)
+    end
   in
   List.iter add t.partners.(core);
   !acc
@@ -55,26 +45,24 @@ let create ~tech ~crg ~cwg ~placement =
   if Array.length placement <> cores then
     invalid_arg "Cost_cwm_incremental.create: placement length differs from core count";
   let partners = Array.make cores [] in
-  List.iter
-    (fun (src, dst, bits) ->
-      partners.(src) <- (dst, bits, true) :: partners.(src);
-      partners.(dst) <- (src, bits, false) :: partners.(dst))
-    (Cwg.communications cwg);
+  for i = 0 to Cwg.ncc cwg - 1 do
+    let src = cwg.Cwg.src.(i) and dst = cwg.Cwg.dst.(i) and bits = cwg.Cwg.bits.(i) in
+    partners.(src) <- (dst, bits, true) :: partners.(src);
+    partners.(dst) <- (src, bits, false) :: partners.(dst)
+  done;
   let occupant = Array.make (Crg.tile_count crg) (-1) in
   Array.iteri (fun core tile -> occupant.(tile) <- core) placement;
-  let t =
-    {
-      tech;
-      crg;
-      cwg;
-      current = Array.copy placement;
-      occupant;
-      partners;
-      total = 0.0;
-    }
-  in
-  t.total <- Cost_cwm.dynamic_energy ~tech ~crg ~cwg t.current;
-  t
+  let eval = Cost_cwm.create ~tech ~crg ~cwg in
+  {
+    eval;
+    tiles = Crg.tile_count crg;
+    routers = Crg.router_counts crg;
+    tsv = Crg.tsv_counts crg;
+    current = Array.copy placement;
+    occupant;
+    partners;
+    total = Cost_cwm.evaluate eval placement;
+  }
 
 let cost t = t.total
 

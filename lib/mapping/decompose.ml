@@ -234,11 +234,11 @@ let partition ?swaps ~cwg ~mesh ~max_region ~kl_passes () =
   let tiles = Mesh.tile_count mesh in
   if cores > tiles then invalid_arg "Decompose.partition: more cores than tiles";
   let w = Array.make_matrix cores cores 0 in
-  List.iter
-    (fun (s, d, bits) ->
-      w.(s).(d) <- w.(s).(d) + bits;
-      w.(d).(s) <- w.(d).(s) + bits)
-    (Cwg.communications cwg);
+  for i = 0 to Cwg.ncc cwg - 1 do
+    let s = cwg.Cwg.src.(i) and d = cwg.Cwg.dst.(i) and bits = cwg.Cwg.bits.(i) in
+    w.(s).(d) <- w.(s).(d) + bits;
+    w.(d).(s) <- w.(d).(s) + bits
+  done;
   let record_swaps n = match swaps with Some r -> r := !r + n | None -> () in
   let rec go members rect acc =
     let n = Array.length members in
@@ -282,9 +282,12 @@ let cut_bits ~cwg regions =
   List.iteri
     (fun r (reg : region) -> Array.iter (fun c -> owner.(c) <- r) reg.cores)
     regions;
-  List.fold_left
-    (fun acc (s, d, bits) -> if owner.(s) <> owner.(d) then acc + bits else acc)
-    0 (Cwg.communications cwg)
+  let cut = ref 0 in
+  for i = 0 to Cwg.ncc cwg - 1 do
+    if owner.(cwg.Cwg.src.(i)) <> owner.(cwg.Cwg.dst.(i)) then
+      cut := !cut + cwg.Cwg.bits.(i)
+  done;
+  !cut
 
 (* Seed assignment: within each region, cores in decreasing total
    communication volume take the region's tiles in center-out order. *)

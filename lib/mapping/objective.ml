@@ -19,7 +19,7 @@ type search_result = {
 let cwm ~tech ~crg ~cwg =
   {
     name = "cwm";
-    cost_fn = (fun p -> Cost_cwm.dynamic_energy ~tech ~crg ~cwg p);
+    cost_fn = Cost_cwm.evaluate (Cost_cwm.create ~tech ~crg ~cwg);
     bound_fn = None;
   }
 

@@ -2,6 +2,9 @@ type t = {
   name : string;
   core_names : string array;
   volume : int array array;
+  src : int array;
+  dst : int array;
+  bits : int array;
 }
 
 let duplicate_name names =
@@ -16,6 +19,29 @@ let duplicate_name names =
   in
   scan 0
 
+(* The connection arrays are laid out once, in (src, dst) order, so
+   every evaluator walks NCC entries instead of the cores^2 matrix. *)
+let flatten ~name ~core_names volume =
+  let n = Array.length core_names in
+  let count = ref 0 in
+  Array.iter (Array.iter (fun w -> if w > 0 then incr count)) volume;
+  let src = Array.make !count 0
+  and dst = Array.make !count 0
+  and bits = Array.make !count 0 in
+  let i = ref 0 in
+  for a = 0 to n - 1 do
+    for b = 0 to n - 1 do
+      let w = volume.(a).(b) in
+      if w > 0 then begin
+        src.(!i) <- a;
+        dst.(!i) <- b;
+        bits.(!i) <- w;
+        incr i
+      end
+    done
+  done;
+  { name; core_names; volume; src; dst; bits }
+
 let create ~name ~core_names ~edges =
   let n = Array.length core_names in
   let error fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
@@ -26,7 +52,7 @@ let create ~name ~core_names ~edges =
     | None ->
       let volume = Array.make_matrix n n 0 in
       let rec fill = function
-        | [] -> Ok { name; core_names; volume }
+        | [] -> Ok (flatten ~name ~core_names volume)
         | (src, dst, bits) :: rest ->
           if src < 0 || src >= n || dst < 0 || dst >= n then
             error "edge (%d, %d): core index out of range" src dst
@@ -60,20 +86,11 @@ let weight t ~src ~dst =
     invalid_arg "Cwg.weight: core index out of range";
   t.volume.(src).(dst)
 
-let communications t =
-  let n = core_count t in
-  let acc = ref [] in
-  for src = n - 1 downto 0 do
-    for dst = n - 1 downto 0 do
-      if t.volume.(src).(dst) > 0 then acc := (src, dst, t.volume.(src).(dst)) :: !acc
-    done
-  done;
-  !acc
+let ncc t = Array.length t.src
 
-let ncc t = List.length (communications t)
+let communications t = List.init (ncc t) (fun i -> (t.src.(i), t.dst.(i), t.bits.(i)))
 
-let total_bits t =
-  List.fold_left (fun acc (_, _, w) -> acc + w) 0 (communications t)
+let total_bits t = Array.fold_left ( + ) 0 t.bits
 
 let to_digraph t =
   let g = Nocmap_graph.Digraph.create ~n:(core_count t) in

@@ -9,6 +9,13 @@ type t = private {
   name : string;
   core_names : string array;
   volume : int array array;  (** [volume.(a).(b)] is [w_ab]; 0 when absent. *)
+  src : int array;
+  dst : int array;
+  bits : int array;
+      (** The communications as parallel arrays, ordered by [(src, dst)]:
+          connection [i] sends [bits.(i) = w_ab] from core [src.(i)] to
+          core [dst.(i)].  Built once by {!create}; evaluators loop over
+          these NCC entries.  Shared, so callers must not mutate them. *)
 }
 
 val create :
@@ -34,13 +41,15 @@ val weight : t -> src:int -> dst:int -> int
 (** [w_ab], 0 when the cores do not communicate. *)
 
 val communications : t -> (int * int * int) list
-(** All [(src, dst, w_ab)] with positive volume, ordered by [(src, dst)].
-    Its length is the paper's NCC complexity measure. *)
+(** All [(src, dst, w_ab)] with positive volume, ordered by [(src, dst)]:
+    a fresh list over the [src]/[dst]/[bits] arrays, O(NCC).  Its length
+    is the paper's NCC complexity measure. *)
 
 val ncc : t -> int
-(** Number of communicating core pairs. *)
+(** Number of communicating core pairs; O(1). *)
 
 val total_bits : t -> int
+(** Sum of all [w_ab]; O(NCC). *)
 
 val to_digraph : t -> Nocmap_graph.Digraph.t
 (** Vertices are cores; edge labels are bit volumes. *)

@@ -13,17 +13,35 @@ type t = {
   faults : Fault.t option;
   paths : path array; (* index: src * n + dst *)
   detours : int array; (* extra links vs the fault-free route; -1 = unreachable *)
-  tsv : int array; (* vertical links per pair; [||] on a planar mesh (all 0) *)
+  router_counts : int array; (* routers per pair; 0 = unreachable *)
+  tsv_counts : int array; (* vertical links per pair; all 0 on a planar mesh *)
+  max_routers : int;
+  max_tsv : int;
 }
 
-let build_path mesh routing ~src ~dst =
-  let wrap = Routing.uses_wrap_links routing in
-  let routers = Array.of_list (Routing.router_path mesh routing ~src ~dst) in
-  let links =
-    Routing.links_of_path (Array.to_list routers)
-    |> List.map (fun (a, b) -> Link.id ~wrap mesh ~src:a ~dst:b)
-    |> Array.of_list
-  in
+(* [link_of.(a * tiles + b)] is the link from tile [a] to an adjacent
+   tile [b] (-1 when they are not adjacent): {!Link.id} for every hop
+   of every route as one array read, without its per-call coordinate
+   decoding. *)
+let link_table mesh ~wrap =
+  let tiles = Mesh.tile_count mesh in
+  let link_of = Array.make (tiles * tiles) (-1) in
+  List.iter
+    (fun lid ->
+      let a, b = Link.endpoints ~wrap mesh lid in
+      link_of.((a * tiles) + b) <- lid)
+    (Link.all ~wrap mesh);
+  link_of
+
+let build_path mesh routing ~link_of ~src ~dst =
+  let tiles = Mesh.tile_count mesh in
+  let routers = Routing.router_array mesh routing ~src ~dst in
+  let links = Array.make (Array.length routers - 1) 0 in
+  for i = 0 to Array.length links - 1 do
+    let lid = link_of.((routers.(i) * tiles) + routers.(i + 1)) in
+    if lid < 0 then invalid_arg "Crg: route steps between non-adjacent tiles";
+    links.(i) <- lid
+  done;
   { routers; links }
 
 let unreachable_path = { routers = [||]; links = [||] }
@@ -65,15 +83,20 @@ let bfs ~adj ~n src =
   done;
   (seen, prev)
 
+(* Walks the BFS parents back from [dst] twice: once to size the
+   arrays, once to fill them from the far end. *)
 let rebuild_path ~prev ~src dst =
-  let rec walk v routers links =
-    if v = src then (v :: routers, links)
-    else
-      let lid, p = prev.(v) in
-      walk p (v :: routers) (lid :: links)
-  in
-  let routers, links = walk dst [] [] in
-  { routers = Array.of_list routers; links = Array.of_list links }
+  let rec hops v k = if v = src then k else hops (snd prev.(v)) (k + 1) in
+  let k = hops dst 0 in
+  let routers = Array.make (k + 1) src and links = Array.make k 0 in
+  let v = ref dst in
+  for i = k downto 1 do
+    let lid, p = prev.(!v) in
+    routers.(i) <- !v;
+    links.(i - 1) <- lid;
+    v := p
+  done;
+  { routers; links }
 
 (* The dimension-ordered route survives iff every router and link on it
    does; keeping it in that case makes an empty fault set bit-identical
@@ -82,18 +105,12 @@ let route_intact faults p =
   Array.for_all (fun r -> not (Fault.router_down faults r)) p.routers
   && Array.for_all (fun l -> not (Fault.link_down faults l)) p.links
 
-(* Vertical-link counts per pair, so evaluators can split the paper's
-   Eq. (2) into planar and TSV terms in O(1) per lookup.  A planar mesh
-   shares the empty array: every count is 0 and no memory is spent. *)
-let tsv_counts mesh paths =
-  if mesh.Mesh.layers = 1 then [||]
+let vertical_links mesh p =
+  if mesh.Mesh.layers = 1 then 0
   else
-    Array.map
-      (fun p ->
-        Array.fold_left
-          (fun acc lid -> if Link.is_vertical mesh lid then acc + 1 else acc)
-          0 p.links)
-      paths
+    Array.fold_left
+      (fun acc lid -> if Link.is_vertical mesh lid then acc + 1 else acc)
+      0 p.links
 
 let create ?(routing = Routing.Xy) ?faults mesh =
   let n = Mesh.tile_count mesh in
@@ -121,52 +138,61 @@ let create ?(routing = Routing.Xy) ?faults mesh =
                lid
                (Routing.algorithm_to_string routing)))
       (Fault.failed_links f));
-  match effective with
+  let paths = Array.make (n * n) unreachable_path in
+  let detours = Array.make (n * n) (-1) in
+  (* Router and vertical-link counts per pair are filled alongside the
+     paths, so evaluators split the paper's Eq. (2) into planar and TSV
+     terms with two array reads per communication. *)
+  let link_of = link_table mesh ~wrap in
+  let router_counts = Array.make (n * n) 0 in
+  let tsv_counts = Array.make (n * n) 0 in
+  let set i p detour =
+    paths.(i) <- p;
+    detours.(i) <- detour;
+    router_counts.(i) <- Array.length p.routers;
+    tsv_counts.(i) <- vertical_links mesh p
+  in
+  (match effective with
   | None ->
-    let paths =
-      Array.init (n * n) (fun i -> build_path mesh routing ~src:(i / n) ~dst:(i mod n))
-    in
-    {
-      mesh;
-      routing;
-      faults;
-      paths;
-      detours = Array.make (n * n) 0;
-      tsv = tsv_counts mesh paths;
-    }
+    for src = 0 to n - 1 do
+      for dst = 0 to n - 1 do
+        set ((src * n) + dst) (build_path mesh routing ~link_of ~src ~dst) 0
+      done
+    done
   | Some f ->
     let adj = surviving_adjacency mesh ~wrap f in
-    let paths = Array.make (n * n) unreachable_path in
-    let detours = Array.make (n * n) (-1) in
     for src = 0 to n - 1 do
       let src_alive = not (Fault.router_down f src) in
       let reroute = lazy (bfs ~adj ~n src) in
       for dst = 0 to n - 1 do
         let i = (src * n) + dst in
         if src = dst then begin
-          if src_alive then begin
-            paths.(i) <- { routers = [| src |]; links = [||] };
-            detours.(i) <- 0
-          end
+          if src_alive then set i { routers = [| src |]; links = [||] } 0
         end
         else if src_alive && not (Fault.router_down f dst) then begin
-          let direct = build_path mesh routing ~src ~dst in
-          if route_intact f direct then begin
-            paths.(i) <- direct;
-            detours.(i) <- 0
-          end
+          let direct = build_path mesh routing ~link_of ~src ~dst in
+          if route_intact f direct then set i direct 0
           else begin
             let seen, prev = Lazy.force reroute in
             if seen.(dst) then begin
               let p = rebuild_path ~prev ~src dst in
-              paths.(i) <- p;
-              detours.(i) <- Array.length p.links - Array.length direct.links
+              set i p (Array.length p.links - Array.length direct.links)
             end
           end
         end
       done
-    done;
-    { mesh; routing; faults; paths; detours; tsv = tsv_counts mesh paths }
+    done);
+  {
+    mesh;
+    routing;
+    faults;
+    paths;
+    detours;
+    router_counts;
+    tsv_counts;
+    max_routers = Array.fold_left max 0 router_counts;
+    max_tsv = Array.fold_left max 0 tsv_counts;
+  }
 
 let mesh t = t.mesh
 
@@ -211,11 +237,21 @@ let total_detour_links t =
 
 let max_detour_links t = Array.fold_left max 0 t.detours
 
-let router_count_on_path t ~src ~dst = Array.length (path t ~src ~dst).routers
+let router_count_on_path t ~src ~dst =
+  check_pair t ~src ~dst;
+  t.router_counts.((src * tile_count t) + dst)
 
 let tsv_links_on_path t ~src ~dst =
   check_pair t ~src ~dst;
-  if Array.length t.tsv = 0 then 0 else t.tsv.((src * tile_count t) + dst)
+  t.tsv_counts.((src * tile_count t) + dst)
+
+let router_counts t = t.router_counts
+
+let tsv_counts t = t.tsv_counts
+
+let max_router_count t = t.max_routers
+
+let max_tsv_count t = t.max_tsv
 
 let to_digraph t =
   let wrap = Routing.uses_wrap_links t.routing in

@@ -70,6 +70,21 @@ val tsv_links_on_path : t -> src:int -> dst:int -> int
 (** Number of vertical (TSV) links on the precomputed path — the [v] in
     the 3-D extension of Eq. (2).  Always 0 on a planar mesh; O(1). *)
 
+val router_counts : t -> int array
+(** {!router_count_on_path} for every ordered pair, flat: entry
+    [src * tile_count t + dst].  Filled by {!create}; shared, so callers
+    must not mutate it. *)
+
+val tsv_counts : t -> int array
+(** {!tsv_links_on_path} for every ordered pair, laid out as
+    {!router_counts} (all 0 on a planar mesh).  Shared; do not mutate. *)
+
+val max_router_count : t -> int
+(** Largest entry of {!router_counts}: the longest path's [K]. *)
+
+val max_tsv_count : t -> int
+(** Largest entry of {!tsv_counts}; 0 on a planar mesh. *)
+
 val to_digraph : t -> Nocmap_graph.Digraph.t
 (** Vertices are tiles, edges are the {e surviving} physical links
     (label 0); the architecture graph of Definition 3, e.g. for DOT

@@ -32,47 +32,73 @@ let torus_step v target extent =
   let backward = (v - target + extent) mod extent in
   if forward <= backward then (v + 1) mod extent else (v - 1 + extent) mod extent
 
-let rec walk_x ~torus mesh x y z xt acc =
-  if x = xt then (x, acc)
-  else
-    let x' = if torus then torus_step x xt mesh.Mesh.cols else step x xt in
-    walk_x ~torus mesh x' y z xt (Mesh.tile_of_coord3 mesh ~x:x' ~y ~z :: acc)
-
-let rec walk_y ~torus mesh x y z yt acc =
-  if y = yt then (y, acc)
-  else
-    let y' = if torus then torus_step y yt mesh.Mesh.rows else step y yt in
-    walk_y ~torus mesh x y' z yt (Mesh.tile_of_coord3 mesh ~x ~y:y' ~z :: acc)
-
-(* The vertical dimension never wraps — TSVs are physical vias — so the
-   z walk is a plain mesh walk even for the torus algorithms. *)
-let rec walk_z mesh x y z zt acc =
-  if z = zt then acc
-  else
-    let z' = step z zt in
-    walk_z mesh x y z' zt (Mesh.tile_of_coord3 mesh ~x ~y ~z:z' :: acc)
-
-let router_path mesh algo ~src ~dst =
+let check_torus_dims mesh algo =
   if uses_wrap_links algo && (mesh.Mesh.cols < 3 || mesh.Mesh.rows < 3) then
-    invalid_arg "Routing.router_path: torus routing requires both dimensions >= 3";
+    invalid_arg "Routing.router_path: torus routing requires both dimensions >= 3"
+
+(* Steps [torus_step] or [step] take from [v] to [target]: the shorter
+   way round on a torus, the plain offset otherwise. *)
+let axis_hops ~torus v target extent =
+  if torus then min ((target - v + extent) mod extent) ((v - target + extent) mod extent)
+  else abs (target - v)
+
+(* One dimension-ordered walk along x, y or z, written into [path] from
+   index [i]; each returns the next free index.  The vertical dimension
+   never wraps — TSVs are physical vias — so the z walk is a plain mesh
+   walk even for the torus algorithms. *)
+let rec fill_x ~torus mesh path i x y z xt =
+  if x = xt then i
+  else begin
+    let x' = if torus then torus_step x xt mesh.Mesh.cols else step x xt in
+    path.(i) <- Mesh.tile_of_coord3 mesh ~x:x' ~y ~z;
+    fill_x ~torus mesh path (i + 1) x' y z xt
+  end
+
+let rec fill_y ~torus mesh path i x y z yt =
+  if y = yt then i
+  else begin
+    let y' = if torus then torus_step y yt mesh.Mesh.rows else step y yt in
+    path.(i) <- Mesh.tile_of_coord3 mesh ~x ~y:y' ~z;
+    fill_y ~torus mesh path (i + 1) x y' z yt
+  end
+
+let rec fill_z mesh path i x y z zt =
+  if z = zt then i
+  else begin
+    let z' = step z zt in
+    path.(i) <- Mesh.tile_of_coord3 mesh ~x ~y ~z:z';
+    fill_z mesh path (i + 1) x y z' zt
+  end
+
+(* The route is written straight into an array sized from the per-axis
+   hop counts, so building every pair's route allocates little beyond
+   the result. *)
+let router_array mesh algo ~src ~dst =
+  check_torus_dims mesh algo;
   let xs, ys, zs = Mesh.coord3_of_tile mesh src in
   let xd, yd, zd = Mesh.coord3_of_tile mesh dst in
   let torus = uses_wrap_links algo in
-  let acc = [ src ] in
-  let acc =
+  let hops =
+    axis_hops ~torus xs xd mesh.Mesh.cols
+    + axis_hops ~torus ys yd mesh.Mesh.rows
+    + abs (zd - zs)
+  in
+  let path = Array.make (hops + 1) src in
+  let i =
     match algo with
     | Xy | Torus_xy ->
-      let x, acc = walk_x ~torus mesh xs ys zs xd acc in
-      let y, acc = walk_y ~torus mesh x ys zs yd acc in
-      walk_z mesh x y zs zd acc
+      let i = fill_x ~torus mesh path 1 xs ys zs xd in
+      fill_y ~torus mesh path i xd ys zs yd
     | Yx | Torus_yx ->
-      let y, acc = walk_y ~torus mesh xs ys zs yd acc in
-      let x, acc = walk_x ~torus mesh xs y zs xd acc in
-      walk_z mesh x y zs zd acc
+      let i = fill_y ~torus mesh path 1 xs ys zs yd in
+      fill_x ~torus mesh path i xs yd zs xd
   in
-  List.rev acc
+  ignore (fill_z mesh path i xd yd zs zd : int);
+  path
 
-let hop_count mesh algo ~src ~dst = List.length (router_path mesh algo ~src ~dst)
+let router_path mesh algo ~src ~dst = Array.to_list (router_array mesh algo ~src ~dst)
+
+let hop_count mesh algo ~src ~dst = Array.length (router_array mesh algo ~src ~dst)
 
 let rec links_of_path = function
   | [] | [ _ ] -> []

@@ -33,6 +33,11 @@ val router_path : Mesh.t -> algorithm -> src:int -> dst:int -> int list
     @raise Invalid_argument for a torus algorithm on a mesh with a
     planar dimension below 3 (see {!Link}). *)
 
+val router_array : Mesh.t -> algorithm -> src:int -> dst:int -> int array
+(** {!router_path} as a fresh array (what {!Crg.create} builds for
+    every tile pair).
+    @raise Invalid_argument as {!router_path}. *)
+
 val hop_count : Mesh.t -> algorithm -> src:int -> dst:int -> int
 (** Number of routers on the path (the paper's [K]); equals
     [manhattan src dst + 1] for the minimal mesh routes and at most that

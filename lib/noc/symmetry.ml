@@ -103,12 +103,11 @@ let for_all_pairs tiles f =
    the historical router-count check. *)
 let hop_exact crg p =
   let tiles = Crg.tile_count crg in
+  let routers = Crg.router_counts crg and tsv = Crg.tsv_counts crg in
   is_permutation tiles p
   && for_all_pairs tiles (fun s d ->
-         Crg.router_count_on_path crg ~src:p.(s) ~dst:p.(d)
-         = Crg.router_count_on_path crg ~src:s ~dst:d
-         && Crg.tsv_links_on_path crg ~src:p.(s) ~dst:p.(d)
-            = Crg.tsv_links_on_path crg ~src:s ~dst:d)
+         let i = (s * tiles) + d and j = (p.(s) * tiles) + p.(d) in
+         routers.(i) = routers.(j) && tsv.(i) = tsv.(j))
 
 let path_exact crg p =
   let tiles = Crg.tile_count crg in

@@ -360,18 +360,22 @@ let result_json (result : Mapping.Objective.search_result)
       ("texec_ns", Json.float_ evaluation.Mapping.Cost_cdcm.texec_ns);
     ]
 
-(* One shared cache per (mesh, routing, model, tech, flit, incremental,
-   core-count) shape: two jobs mapping the same application family onto
-   the same NoC reuse each other's evaluations.  Only valid
+(* One shared cache per (application, mesh, routing, model, tech, flit,
+   incremental, core-count) shape: two jobs mapping the same application
+   onto the same NoC reuse each other's evaluations.  The application
+   enters as a digest of its CDCG text, so jobs over different apps of
+   the same size never read each other's costs.  Only valid
    sequentially — Eval_cache and Objective are not thread-safe — so
    parallel batches pass [share:false] and get private caches. *)
-let cache_for t ~share ~(spec : Job_spec.t) ~crg ~cores =
+let cache_for t ~share ~(spec : Job_spec.t) ~crg ~cdcg =
   let level =
     match spec.model with Job_spec.Cwm -> Symmetry.Hops | Job_spec.Cdcm -> Symmetry.Paths
   in
+  let cores = Cdcg.core_count cdcg in
   let discriminator =
     String.concat "|"
       [
+        Digest.to_hex (Digest.string (Nocmap_model.Textio.cdcg_to_string cdcg));
         Job_spec.model_to_string spec.model;
         spec.tech.Nocmap_energy.Technology.name;
         string_of_int spec.flit_bits;
@@ -420,7 +424,7 @@ let execute t ~share ~stop (spec : Job_spec.t) =
       | Job_spec.Cwm -> Mapping.Objective.cwm ~tech ~crg ~cwg
       | Job_spec.Cdcm -> Mapping.Objective.cdcm ~incremental ~tech ~params ~crg ~cdcg ()
     in
-    let cache = cache_for t ~share ~spec ~crg ~cores in
+    let cache = cache_for t ~share ~spec ~crg ~cdcg in
     let objective = Mapping.Objective.with_cache cache objective in
     (* The deadline stop must be sticky (searches require it) and
        latched separately from the external stop so the caller can tell

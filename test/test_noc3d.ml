@@ -357,6 +357,26 @@ let test_cdcm_incremental_3d () =
       (inc.Mapping.Objective.cost_fn p)
   done
 
+(* A failed planar link on a 3x1x2 stack reroutes 0 -> 1 up through
+   layer 1 and back down: two TSV hops on a two-layer mesh.  The
+   incremental evaluator's energy table must reach that class. *)
+let test_cdcm_incremental_two_tsv_reroute () =
+  let mesh = Mesh.create3 ~cols:3 ~rows:1 ~layers:2 in
+  let faults = Fault.make ~links:[ Link.id mesh ~src:0 ~dst:1 ] mesh in
+  let crg = Crg.create ~faults mesh in
+  Alcotest.(check int) "reroute climbs and descends" 2
+    (Crg.tsv_links_on_path crg ~src:0 ~dst:1);
+  let cdcg = Nocmap_apps.Fig1.cdcg in
+  let tech = Technology.t007 in
+  let plain = Mapping.Objective.cdcm ~tech ~params ~crg ~cdcg () in
+  let inc = Mapping.Objective.cdcm ~incremental:true ~tech ~params ~crg ~cdcg () in
+  List.iter
+    (fun p ->
+      Alcotest.(check (float 0.)) "incremental = plain, bitwise"
+        (plain.Mapping.Objective.cost_fn p)
+        (inc.Mapping.Objective.cost_fn p))
+    [ [| 0; 1; 2; 3 |]; [| 1; 0; 2; 3 |]; [| 3; 4; 0; 1 |] ]
+
 (* --- per-layer faults --- *)
 
 let test_fault_layers () =
@@ -461,6 +481,8 @@ let suite =
         test_cwm_incremental_3d;
       Alcotest.test_case "CDCM incremental on a stacked mesh" `Quick
         test_cdcm_incremental_3d;
+      Alcotest.test_case "CDCM incremental on a two-TSV reroute" `Quick
+        test_cdcm_incremental_two_tsv_reroute;
       Alcotest.test_case "per-layer fault scenarios" `Quick test_fault_layers;
       Alcotest.test_case "searches run on stacked meshes" `Quick
         test_search_3d_smoke;

@@ -307,6 +307,65 @@ let test_engine_rejects_invalid () =
     (find_completed events "after" <> None);
   Engine.close engine
 
+(* Sequential jobs share one Eval_cache per NoC/objective shape.  Two
+   different applications with the same core count on the same mesh
+   must still never read each other's costs: every reported cost equals
+   a fresh evaluation of the reported placement, bit for bit. *)
+let test_engine_cache_keys_application () =
+  let dir = temp_dir () in
+  let engine, events = make_engine ~config:fast_config dir in
+  let app seed =
+    Nocmap_tgff.Generator.generate
+      (Nocmap_util.Rng.create ~seed)
+      (Nocmap_tgff.Generator.default_spec ~name:(Printf.sprintf "app%d" seed)
+         ~cores:6 ~packets:24 ~total_bits:(4_000 * seed))
+  in
+  let spec_text id seed =
+    Json.to_string
+      (Json.Assoc
+         [
+           ("id", Json.Str id);
+           ("app", Json.Assoc [ ("cdcg", Json.Str (Nocmap_model.Textio.cdcg_to_string (app seed))) ]);
+           ("noc", Json.Str "3x3");
+           ("model", Json.Str "cdcm");
+           ("algorithm", Json.Str "sa");
+           ("budget", Json.Str "quick");
+           ("seed", Json.Int 5);
+         ])
+  in
+  let jobs = [ ("first", 1); ("second", 7) ] in
+  List.iter
+    (fun (id, seed) ->
+      match Engine.submit engine ~source:"test" (spec_text id seed) with
+      | Engine.Submitted -> ()
+      | _ -> Alcotest.fail "expected Submitted")
+    jobs;
+  Engine.run_pending engine;
+  List.iter
+    (fun (id, seed) ->
+      let spec =
+        match Job_spec.of_string (spec_text id seed) with
+        | Ok s -> s
+        | Error e -> Alcotest.fail e
+      in
+      match find_completed events id with
+      | None -> Alcotest.fail ("no Completed event for " ^ id)
+      | Some result ->
+        let placement =
+          Nocmap_mapping.Search_persist.placement_of_json (Json.get "placement" result)
+        in
+        let fresh =
+          Nocmap_mapping.Cost_cdcm.evaluate ~tech:spec.Job_spec.tech
+            ~params:(Nocmap_energy.Noc_params.make ~flit_bits:spec.Job_spec.flit_bits ())
+            ~crg:(Nocmap_noc.Crg.create ~routing:spec.Job_spec.routing spec.Job_spec.mesh)
+            ~cdcg:(app seed) placement
+        in
+        Alcotest.(check string) (id ^ " cost is a fresh evaluation")
+          (Printf.sprintf "%h" fresh.Nocmap_mapping.Cost_cdcm.total)
+          (Printf.sprintf "%h" (Json.to_float (Json.get "cost" result))))
+    jobs;
+  Engine.close engine
+
 let test_engine_duplicate () =
   let dir = temp_dir () in
   let engine, _events = make_engine ~config:fast_config dir in
@@ -609,6 +668,8 @@ let suite =
       Alcotest.test_case "engine runs a portfolio job" `Quick
         test_engine_portfolio_job;
       Alcotest.test_case "engine rejects invalid input" `Quick test_engine_rejects_invalid;
+      Alcotest.test_case "engine cache keys the application" `Quick
+        test_engine_cache_keys_application;
       Alcotest.test_case "engine refuses duplicates" `Quick test_engine_duplicate;
       Alcotest.test_case "engine sheds overload" `Quick test_engine_sheds_overload;
       Alcotest.test_case "engine enforces per-job timeout" `Quick test_engine_timeout;
