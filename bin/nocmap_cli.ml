@@ -26,21 +26,39 @@ module Mapping = Nocmap_mapping
 module Obs = Nocmap_obs
 module Json = Nocmap_persist.Json
 module Store = Nocmap_persist.Store
+module Serve = Nocmap_serve
+
+(* Malformed values of the shared flags are usage errors on every
+   subcommand, never an uncaught exception. *)
+let mesh_conv =
+  let parse s =
+    match Mesh.of_string s with
+    | mesh -> Ok mesh
+    | exception Invalid_argument msg -> Error (`Msg msg)
+  in
+  Arg.conv ~docv:"SIZE" (parse, fun ppf m -> Format.pp_print_string ppf (Mesh.to_string m))
 
 let mesh_arg =
   let doc =
     "NoC size as <cols>x<rows> (e.g. 3x3), or <cols>x<rows>x<layers> for a \
      stacked 3-D mesh with TSV vertical links (e.g. 4x4x2)."
   in
-  Arg.(value & opt string "3x3" & info [ "noc" ] ~docv:"SIZE" ~doc)
+  Arg.(value & opt mesh_conv (Mesh.create ~cols:3 ~rows:3) & info [ "noc" ] ~doc)
 
 let seed_arg =
   let doc = "Random seed; every run is deterministic for a fixed seed." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let flit_arg =
-  let doc = "Link width in bits (flit size)." in
-  Arg.(value & opt int 16 & info [ "flit" ] ~docv:"BITS" ~doc)
+  let parse s =
+    match int_of_string_opt s with
+    | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
+    | Some bits -> Result.map_error (fun e -> `Msg e) (Serve.Job_spec.check_flit_bits bits)
+  in
+  let doc =
+    Printf.sprintf "Link width in bits (flit size), 1-%d." Serve.Job_spec.max_flit_bits
+  in
+  Arg.(value & opt (conv ~docv:"BITS" (parse, Format.pp_print_int)) 16 & info [ "flit" ] ~doc)
 
 let tech_arg =
   let doc = "Technology point: 0.35um, 0.18um, 0.13um or 0.07um." in
@@ -70,18 +88,19 @@ let load_tech name =
   | Some t -> Ok t
   | None -> Error (Printf.sprintf "unknown technology %S" name)
 
-let load_app ~path ~builtin =
+let app_source ~path ~builtin =
   match (path, builtin) with
   | Some _, Some _ -> Error "pass either --app or --builtin, not both"
-  | Some path, None ->
-    (* [load_cdcg] errors are already path-prefixed. *)
-    (Textio.load_cdcg ~path : (Cdcg.t, string) result)
-  | None, Some name -> begin
-    match Nocmap_apps.Catalog.find name with
-    | Some cdcg -> Ok cdcg
-    | None -> Error (Printf.sprintf "unknown built-in application %S" name)
-  end
+  | Some path, None -> Ok (Serve.Job_spec.Path path)
+  | None, Some name -> Ok (Serve.Job_spec.Builtin name)
   | None, None -> Error "pass --app FILE or --builtin NAME"
+
+(* With [mesh], the application must also fit on it. *)
+let load_app ?mesh ~path ~builtin () =
+  let cdcg = Result.bind (app_source ~path ~builtin) Serve.Job_spec.load_app in
+  match mesh with
+  | None -> cdcg
+  | Some mesh -> Result.bind cdcg (Serve.Job_spec.fit_app ~mesh)
 
 let or_die = function
   | Ok v -> v
@@ -461,202 +480,71 @@ let map_cmd =
              costs are bit-identical).  Implies cutoff pruning in the sa \
              search.  Requires --model cdcm.")
   in
-  let run mesh seed flit tech_name routing app builtin model algorithm
+  let run mesh seed flit_bits tech_name routing app builtin model algorithm
       strategies_spec refiner_spec jobs save metrics convergence_path use_cache
       incremental checkpoint_dir checkpoint_every =
-    let mesh = Mesh.of_string mesh in
-    let tech = or_die (load_tech tech_name) in
-    let cdcg = or_die (load_app ~path:app ~builtin) in
-    let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
-    let params = Noc_params.make ~flit_bits:flit () in
-    let cwg = Cwg.of_cdcg cdcg in
-    let tiles = Mesh.tile_count mesh in
-    let cores = Cdcg.core_count cdcg in
-    if cores > tiles then
-      or_die (Error (Printf.sprintf "%d cores do not fit on %s" cores (Mesh.to_string mesh)));
-    let rng = Rng.create ~seed in
-    if incremental && model <> "cdcm" then
+    let model = or_die (Serve.Job_spec.model_of_string model) in
+    if incremental && model <> Serve.Job_spec.Cdcm then
       or_die (Error "--incremental requires --model cdcm");
-    let objective =
-      match model with
-      | "cwm" -> Mapping.Objective.cwm ~tech ~crg ~cwg
-      | "cdcm" -> Mapping.Objective.cdcm ~incremental ~tech ~params ~crg ~cdcg ()
-      | other -> or_die (Error ("unknown model " ^ other))
+    let algorithm =
+      match or_die (Serve.Job_spec.algorithm_of_string algorithm) with
+      | Serve.Job_spec.Portfolio _ ->
+        Serve.Job_spec.Portfolio
+          (or_die (Mapping.Portfolio.strategies_of_string strategies_spec))
+      | Serve.Job_spec.Decompose _ -> (
+        match Mapping.Decompose.refiner_of_string refiner_spec with
+        | Some r -> Serve.Job_spec.Decompose r
+        | None -> or_die (Error ("unknown refiner " ^ refiner_spec)))
+      | other -> other
     in
-    (* Without a prune margin the annealer never consults the bound
-       function, so the incremental evaluator would have nothing to
-       reject; the margin matches Experiment's standard configs. *)
-    let sa_config =
-      let c = Mapping.Annealing.default_config ~tiles in
-      if incremental then { c with Mapping.Annealing.prune = Some 20.0 } else c
+    let spec =
+      {
+        Serve.Job_spec.id = "map";
+        app = or_die (app_source ~path:app ~builtin);
+        mesh;
+        routing = or_die (load_routing routing);
+        tech = or_die (load_tech tech_name);
+        flit_bits;
+        model;
+        algorithm;
+        seed;
+        budget = Serve.Job_spec.Standard;
+        incremental;
+        timeout_ms = None;
+      }
     in
-    (* CWM only reads per-pair hop counts, so it may use the larger
-       hop-exact group; the simulation-backed CDCM needs path-exact. *)
-    let symmetry =
-      if not use_cache then None
-      else
-        let level =
-          if model = "cwm" then Nocmap_noc.Symmetry.Hops
-          else Nocmap_noc.Symmetry.Paths
-        in
-        Some (Nocmap_noc.Symmetry.of_crg ~level crg)
-    in
-    let cache =
-      Option.map
-        (fun symmetry ->
-          Mapping.Eval_cache.create ~symmetry ~cores ~discriminator:model ())
-        symmetry
-    in
-    let objective =
-      match cache with
-      | Some cache -> Mapping.Objective.with_cache cache objective
-      | None -> objective
-    in
+    (* Fail on a bad application before a checkpoint manifest is
+       written for this command line. *)
+    ignore (or_die (Serve.Job_spec.resolve_app spec));
+    let name = Serve.Job_spec.algorithm_to_string algorithm in
     install_stop_signals ?checkpoint_dir ();
-    (match checkpoint_dir with
-    | Some _
-      when algorithm <> "sa" && algorithm <> "local"
-           && algorithm <> "greedy+local" && algorithm <> "portfolio"
-           && algorithm <> "decompose" ->
+    if checkpoint_dir <> None && not (Serve.Run.journaled algorithm) then
       prerr_endline
         (Printf.sprintf
-           "nocmap: --checkpoint-dir only journals the sa, local, \
-            greedy+local, portfolio and decompose searches; algorithm %S \
-            runs without checkpoints"
-           algorithm)
-    | Some _ | None -> ());
-    let persist = setup_persist ~command:"map" checkpoint_dir checkpoint_every in
+           "nocmap: --checkpoint-dir only journals the %s searches; algorithm \
+            %S runs without checkpoints"
+           (String.concat ", " Serve.Run.journaled_algorithms)
+           name);
+    let journal =
+      setup_persist ~command:"map" checkpoint_dir checkpoint_every
+      |> Option.map (fun { Nocmap.Experiment.store; scope; every } ->
+             { Serve.Run.store; prefix = scope; every })
+    in
     with_metrics metrics @@ fun () ->
     let convergence =
       Option.map
         (fun _ -> Obs.Series.create ~x_label:"evaluations" ~y_label:"best_cost" ())
         convergence_path
     in
-    let portfolio_report = ref None in
-    let decompose_report = ref None in
-    (* Each parallel searcher runs on its own domain and Eval_cache is
-       single-domain, so parallel algorithms get one fresh objective
-       (and private cache) per call — all built from the symmetry group
-       computed once above. *)
-    let base_objective () =
-      match model with
-      | "cwm" -> Mapping.Objective.cwm ~tech ~crg ~cwg
-      | _ -> Mapping.Objective.cdcm ~incremental ~tech ~params ~crg ~cdcg ()
+    let cache = if use_cache then Serve.Run.Private else Serve.Run.No_cache in
+    let jobs = if Serve.Run.parallel algorithm then resolve_jobs jobs else 1 in
+    let o =
+      or_die
+        (with_jobs jobs (fun pool ->
+             Serve.Run.execute ?journal ?pool ?convergence ~stop:stop_requested
+               ~cache spec))
     in
-    let fresh_objective () =
-      let base = base_objective () in
-      match symmetry with
-      | Some symmetry ->
-        Mapping.Objective.with_cache
-          (Mapping.Eval_cache.create ~symmetry ~cores ~discriminator:model ())
-          base
-      | None -> base
-    in
-    (* A decompose region only moves its own cluster, so its cache keys
-       just those cores (and drops the mesh group, which the frozen
-       context breaks anyway): the dominant cache allocation shrinks by
-       ~[cores / region] compared to a full-key cache per region. *)
-    let region_objective_for ~cores:region_cores ~tiles:_ =
-      let base = base_objective () in
-      if Option.is_some symmetry then
-        Mapping.Objective.with_cache
-          (Mapping.Eval_cache.create
-             ~symmetry:(Nocmap_noc.Symmetry.identity_only mesh)
-             ~cores ~support:region_cores ~discriminator:model ())
-          base
-      else base
-    in
-    let result =
-      match algorithm with
-      | "sa" -> (
-        match persist with
-        | None ->
-          Mapping.Annealing.search ~rng ~config:sa_config ~tiles ~objective
-            ~stop:stop_requested ?convergence ~cores ()
-        | Some (p : Nocmap.Experiment.persist) ->
-          Mapping.Search_persist.annealing ~store:p.Nocmap.Experiment.store
-            ~key:(p.Nocmap.Experiment.scope ^ ".sa")
-            ~every:p.Nocmap.Experiment.every ~rng ~config:sa_config ~tiles
-            ~objective ~stop:stop_requested ?convergence ~cores ())
-      | "es" -> Mapping.Exhaustive.search ~objective ~cores ~tiles ?symmetry ?convergence ()
-      | "greedy" -> Mapping.Greedy.search ~tech ~crg ~cwg ()
-      | "local" -> (
-        let initial = Mapping.Placement.random rng ~cores ~tiles in
-        match persist with
-        | None ->
-          Mapping.Local_search.search ~objective ~tiles ~initial
-            ~stop:stop_requested ?convergence ()
-        | Some (p : Nocmap.Experiment.persist) ->
-          Mapping.Search_persist.local_search ~store:p.Nocmap.Experiment.store
-            ~key:(p.Nocmap.Experiment.scope ^ ".local")
-            ~every:p.Nocmap.Experiment.every ~objective ~tiles ~initial
-            ~stop:stop_requested ?convergence ())
-      | "greedy+local" -> (
-        let greedy = Mapping.Greedy.search ~tech ~crg ~cwg () in
-        let initial = greedy.Mapping.Objective.placement in
-        match persist with
-        | None ->
-          Mapping.Local_search.search ~objective ~tiles ~initial
-            ~stop:stop_requested ?convergence ()
-        | Some (p : Nocmap.Experiment.persist) ->
-          Mapping.Search_persist.local_search ~store:p.Nocmap.Experiment.store
-            ~key:(p.Nocmap.Experiment.scope ^ ".local")
-            ~every:p.Nocmap.Experiment.every ~objective ~tiles ~initial
-            ~stop:stop_requested ?convergence ())
-      | "random" ->
-        Mapping.Random_search.search ~rng ~objective ~cores ~tiles ~samples:1000
-      | "portfolio" ->
-        let strategies =
-          or_die (Mapping.Portfolio.strategies_of_string strategies_spec)
-        in
-        let portfolio_config = Mapping.Portfolio.default_config ~tiles in
-        let objective_for _ = fresh_objective () in
-        with_jobs (resolve_jobs jobs) @@ fun pool ->
-        let report =
-          match persist with
-          | None ->
-            Mapping.Portfolio.search ~rng ~config:portfolio_config ~strategies
-              ~tech ~crg ~cwg ~objective_for ?pool ~stop:stop_requested ()
-          | Some (p : Nocmap.Experiment.persist) ->
-            Mapping.Search_persist.portfolio ~store:p.Nocmap.Experiment.store
-              ~key:(p.Nocmap.Experiment.scope ^ ".portfolio")
-              ~every:p.Nocmap.Experiment.every ~rng ~config:portfolio_config
-              ~strategies ~tech ~crg ~cwg
-              ~objective_name:objective.Mapping.Objective.name ~objective_for
-              ?pool ~stop:stop_requested ()
-        in
-        portfolio_report := Some report;
-        report.Mapping.Portfolio.result
-      | "decompose" ->
-        let refiner =
-          match Mapping.Decompose.refiner_of_string refiner_spec with
-          | Some r -> r
-          | None -> or_die (Error ("unknown refiner " ^ refiner_spec))
-        in
-        let decompose_config =
-          { (Mapping.Decompose.default_config ~tiles) with
-            Mapping.Decompose.refiner
-          }
-        in
-        with_jobs (resolve_jobs jobs) @@ fun pool ->
-        let report =
-          match persist with
-          | None ->
-            Mapping.Decompose.search ~rng ~config:decompose_config ~crg ~cwg
-              ~objective_for:fresh_objective ~region_objective_for ?pool
-              ~stop:stop_requested ()
-          | Some (p : Nocmap.Experiment.persist) ->
-            Mapping.Search_persist.decompose ~store:p.Nocmap.Experiment.store
-              ~key:(p.Nocmap.Experiment.scope ^ ".decompose")
-              ~every:p.Nocmap.Experiment.every ~rng ~config:decompose_config
-              ~crg ~cwg ~objective_name:objective.Mapping.Objective.name
-              ~objective_for:fresh_objective ~region_objective_for ?pool
-              ~stop:stop_requested ()
-        in
-        decompose_report := Some report;
-        report.Mapping.Decompose.result
-      | other -> or_die (Error ("unknown algorithm " ^ other))
-    in
+    let cdcg = o.Serve.Run.cdcg and result = o.Serve.Run.result in
     (match (convergence_path, convergence) with
     | Some path, Some series ->
       if Obs.Series.length series = 0 then
@@ -664,23 +552,20 @@ let map_cmd =
           (Printf.sprintf
              "nocmap: algorithm %S records no convergence trace; %s holds only \
               the header"
-             algorithm path);
+             name path);
       Obs.Series.save_csv ~path series;
       Printf.printf "convergence : %s (%d points)\n" path (Obs.Series.length series)
     | _ -> ());
-    let evaluation =
-      Mapping.Cost_cdcm.evaluate ~tech ~params ~crg ~cdcg
-        result.Mapping.Objective.placement
-    in
     if stop_requested () then
       Printf.printf "(search interrupted - reporting the best placement found)\n";
     Printf.printf "application : %s\n" cdcg.Cdcg.name;
     Printf.printf "NoC         : %s, %s routing\n" (Mesh.to_string mesh)
-      (routing_label ~mesh (Crg.routing crg));
-    Printf.printf "model/search: %s/%s (%d cost evaluations)\n" model algorithm
-      result.Mapping.Objective.evaluations;
-    (match !portfolio_report with
-    | Some (r : Mapping.Portfolio.report) ->
+      (routing_label ~mesh spec.Serve.Job_spec.routing);
+    Printf.printf "model/search: %s/%s (%d cost evaluations)\n"
+      (Serve.Job_spec.model_to_string model)
+      name result.Mapping.Objective.evaluations;
+    (match o.Serve.Run.report with
+    | Serve.Run.Portfolio r ->
       Printf.printf
         "portfolio   : winner %s after %d rounds (%d incumbent updates, %d \
          cutoff tightenings)\n"
@@ -694,9 +579,7 @@ let map_cmd =
             s.Mapping.Portfolio.cost s.Mapping.Portfolio.evaluations
             s.Mapping.Portfolio.rounds_won)
         r.Mapping.Portfolio.per_strategy
-    | None -> ());
-    (match !decompose_report with
-    | Some (r : Mapping.Decompose.report) ->
+    | Serve.Run.Decompose r ->
       Printf.printf
         "decompose   : %d regions, cut %d of %d bits (%.1f%%), seed cost \
          %.6g, %d polish evaluations\n"
@@ -726,8 +609,9 @@ let map_cmd =
             reg.Mapping.Decompose.region_cost
             reg.Mapping.Decompose.region_evaluations)
         r.Mapping.Decompose.regions
-    | None -> ());
-    (match cache with
+    | Serve.Run.Plain -> ());
+    let evaluation = o.Serve.Run.evaluation in
+    (match o.Serve.Run.cache with
     | Some cache when Mapping.Eval_cache.(stats cache).Mapping.Eval_cache.misses > 0 ->
       let s = Mapping.Eval_cache.stats cache in
       Printf.printf
@@ -778,9 +662,8 @@ let eval_cmd =
     Arg.(value & flag & info [ "hotspots" ] ~doc:"Print the busiest links.")
   in
   let run mesh flit tech_name routing app builtin placement gantt annotations hotspots =
-    let mesh = Mesh.of_string mesh in
     let tech = or_die (load_tech tech_name) in
-    let cdcg = or_die (load_app ~path:app ~builtin) in
+    let cdcg = or_die (load_app ~mesh ~path:app ~builtin ()) in
     let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
     let params = Noc_params.make ~flit_bits:flit () in
     let cores = Cdcg.core_count cdcg in
@@ -807,13 +690,10 @@ let eval_cmd =
 
 let analyze_cmd =
   let run mesh flit routing app builtin placement =
-    let mesh = Mesh.of_string mesh in
-    let cdcg = or_die (load_app ~path:app ~builtin) in
+    let cdcg = or_die (load_app ~mesh ~path:app ~builtin ()) in
     let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
     let params = Noc_params.make ~flit_bits:flit () in
     let cores = Cdcg.core_count cdcg in
-    if cores > Mesh.tile_count mesh then
-      or_die (Error "application does not fit on the NoC");
     let placement =
       match placement with
       | None -> Mapping.Placement.identity ~cores
@@ -871,14 +751,13 @@ let dot_cmd =
     in
     match what with
     | "crg" ->
-      let mesh = Mesh.of_string mesh in
-      let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
+        let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
       emit
         (Nocmap_graph.Dot.render ~graph_name:(Mesh.to_string mesh)
            ~vertex_name:(Printf.sprintf "t%d")
            (Crg.to_digraph crg))
     | "cdcg" | "cwg" ->
-      let cdcg = or_die (load_app ~path:app ~builtin) in
+      let cdcg = or_die (load_app ~path:app ~builtin ()) in
       if what = "cdcg" then
         emit
           (Nocmap_graph.Dot.render ~graph_name:cdcg.Cdcg.name
@@ -921,13 +800,10 @@ let export_cmd =
       & info [ "kind" ] ~docv:"KIND" ~doc:"CSV to export: packets or links.")
   in
   let run mesh flit routing app builtin what out =
-    let mesh = Mesh.of_string mesh in
-    let cdcg = or_die (load_app ~path:app ~builtin) in
+    let cdcg = or_die (load_app ~mesh ~path:app ~builtin ()) in
     let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
     let params = Noc_params.make ~flit_bits:flit () in
     let cores = Cdcg.core_count cdcg in
-    if cores > Mesh.tile_count mesh then
-      or_die (Error "application does not fit on the NoC");
     let placement = Mapping.Placement.identity ~cores in
     let trace = Nocmap_sim.Wormhole.run ~params ~crg ~placement cdcg in
     let doc =
@@ -1003,14 +879,8 @@ let faults_cmd =
   in
   let run mesh seed tech_name app builtin quick jobs multi_k multi_count csv metrics
       use_cache checkpoint_dir checkpoint_every =
-    let mesh = Mesh.of_string mesh in
     let tech = or_die (load_tech tech_name) in
-    let cdcg = or_die (load_app ~path:app ~builtin) in
-    if Cdcg.core_count cdcg > Mesh.tile_count mesh then
-      or_die
-        (Error
-           (Printf.sprintf "%d cores do not fit on %s" (Cdcg.core_count cdcg)
-              (Mesh.to_string mesh)));
+    let cdcg = or_die (load_app ~mesh ~path:app ~builtin ()) in
     let config =
       {
         Nocmap.Fault_campaign.default_config with
@@ -1074,14 +944,8 @@ let profile_cmd =
              as CSV (from a metered re-simulation).")
   in
   let run mesh seed tech_name app builtin quick jobs format heatmap use_cache =
-    let mesh = Mesh.of_string mesh in
     let tech = or_die (load_tech tech_name) in
-    let cdcg = or_die (load_app ~path:app ~builtin) in
-    if Cdcg.core_count cdcg > Mesh.tile_count mesh then
-      or_die
-        (Error
-           (Printf.sprintf "%d cores do not fit on %s" (Cdcg.core_count cdcg)
-              (Mesh.to_string mesh)));
+    let cdcg = or_die (load_app ~mesh ~path:app ~builtin ()) in
     let format = or_die (Obs.Sink.format_of_string format) in
     let config =
       if quick then Nocmap.Experiment.quick_config else Nocmap.Experiment.default_config
@@ -1140,8 +1004,6 @@ let cputime_cmd =
     Term.(const run $ seed_arg)
 
 (* --- serve / submit --- *)
-
-module Serve = Nocmap_serve
 
 let serve_cmd =
   let state_arg =

@@ -4,6 +4,8 @@ module Json = Nocmap_persist.Json
 module Journal = Nocmap_persist.Journal
 module Store = Nocmap_persist.Store
 
+type journal = Store.t * string
+
 let default_every = 10_000
 
 let m_resumes =
@@ -358,21 +360,25 @@ let last_progress records =
       if record_type r = "progress" then Some (Json.get "state" r) else acc)
     None records
 
-(* Opens (or reopens) the [key] shard, decides between replay / resume /
-   fresh start, runs the search, and records the outcome.  [run] gets
-   the journal-backed checkpoint hook and the decoded resume state; a
-   [done] record is only written when [stop] did not cut the run short,
-   so interrupted journals stay resumable.
+(* Opens (or reopens) the shard of [journal = (store, key)], decides
+   between replay / resume / fresh start, runs the search, and records
+   the outcome.  [run] gets the journal-backed checkpoint hook and the
+   decoded resume state; a [done] record is only written when [stop] did
+   not cut the run short, so interrupted journals stay resumable.
 
-   When [stop] is already set on entry the search runs with no
-   persistence at all: the caller is winding down and this leg's inputs
-   may derive from an upstream search that was itself cut short (e.g. a
-   warm start from an interrupted CWM leg), so journaling them would
-   poison the store with state the resumed run can never reproduce. *)
-let run_leg ~store ~key ~meta ~every ~encode ~decode ~encode_result
+   Without a journal, or with [stop] already set on entry, the search
+   runs plain and [meta] is never built.  A caller winding down may pass
+   inputs derived from an upstream search that was itself cut short
+   (e.g. a warm start from an interrupted CWM leg), so journaling them
+   would poison the store with state the resumed run can never
+   reproduce. *)
+let run_leg ?journal ~meta ~every ~encode ~decode ~encode_result
     ~decode_result ~stop ~run =
-  if stop () then run ?checkpoint:None ?resume:None ()
-  else
+  match journal with
+  | None -> run ?checkpoint:None ?resume:None ()
+  | Some _ when stop () -> run ?checkpoint:None ?resume:None ()
+  | Some (store, key) ->
+    let meta = meta () in
     let path = Store.shard_path store ~key in
     let entry =
       if not (Sys.file_exists path) then
@@ -419,9 +425,9 @@ let run_leg ~store ~key ~meta ~every ~encode ~decode ~encode_result
             Journal.append_exn journal (done_record (encode_result result));
           result)
 
-let annealing ~store ~key ?(every = default_every) ~rng ~config ~tiles
+let annealing ?journal ?(every = default_every) ~rng ~config ~tiles
     ~objective ?initial ?(stop = fun () -> false) ?convergence ~cores () =
-  let meta =
+  let meta () =
     Json.Assoc
       [
         ("algorithm", Json.Str "sa");
@@ -438,16 +444,16 @@ let annealing ~store ~key ?(every = default_every) ~rng ~config ~tiles
           | Some p -> placement_json p );
       ]
   in
-  run_leg ~store ~key ~meta ~every ~encode:sa_checkpoint_json
+  run_leg ?journal ~meta ~every ~encode:sa_checkpoint_json
     ~decode:sa_checkpoint_of_json ~encode_result:result_json
     ~decode_result:result_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->
       Annealing.search ~rng ~config ~tiles ~objective ?initial ~stop
         ?convergence ?checkpoint ?resume ~cores ())
 
-let tabu ~store ~key ?(every = default_every) ~rng ~config ~tiles ~objective
+let tabu ?journal ?(every = default_every) ~rng ~config ~tiles ~objective
     ?initial ?(stop = fun () -> false) ?convergence ~cores () =
-  let meta =
+  let meta () =
     Json.Assoc
       [
         ("algorithm", Json.Str "tabu");
@@ -462,16 +468,16 @@ let tabu ~store ~key ?(every = default_every) ~rng ~config ~tiles ~objective
           | Some p -> placement_json p );
       ]
   in
-  run_leg ~store ~key ~meta ~every ~encode:tabu_checkpoint_json
+  run_leg ?journal ~meta ~every ~encode:tabu_checkpoint_json
     ~decode:tabu_checkpoint_of_json ~encode_result:result_json
     ~decode_result:result_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->
       Tabu.search ~rng ~config ~tiles ~objective ?initial ~stop ?convergence
         ?checkpoint ?resume ~cores ())
 
-let genetic ~store ~key ?(every = default_every) ~rng ~config ~tiles ~objective
+let genetic ?journal ?(every = default_every) ~rng ~config ~tiles ~objective
     ?initial ?(stop = fun () -> false) ?convergence ~cores () =
-  let meta =
+  let meta () =
     Json.Assoc
       [
         ("algorithm", Json.Str "ga");
@@ -486,17 +492,17 @@ let genetic ~store ~key ?(every = default_every) ~rng ~config ~tiles ~objective
           | Some p -> placement_json p );
       ]
   in
-  run_leg ~store ~key ~meta ~every ~encode:genetic_checkpoint_json
+  run_leg ?journal ~meta ~every ~encode:genetic_checkpoint_json
     ~decode:genetic_checkpoint_of_json ~encode_result:result_json
     ~decode_result:result_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->
       Genetic.search ~rng ~config ~tiles ~objective ?initial ~stop ?convergence
         ?checkpoint ?resume ~cores ())
 
-let portfolio ~store ~key ?(every = default_every) ~rng ~config ~strategies
+let portfolio ?journal ?(every = default_every) ~rng ~config ~strategies
     ~tech ~crg ~cwg ~objective_name ~objective_for ?pool
     ?(stop = fun () -> false) ?target () =
-  let meta =
+  let meta () =
     Json.Assoc
       [
         ("algorithm", Json.Str "portfolio");
@@ -510,7 +516,7 @@ let portfolio ~store ~key ?(every = default_every) ~rng ~config ~strategies
           match target with None -> Json.Null | Some t -> Json.float_ t );
       ]
   in
-  run_leg ~store ~key ~meta ~every ~encode:portfolio_checkpoint_json
+  run_leg ?journal ~meta ~every ~encode:portfolio_checkpoint_json
     ~decode:portfolio_checkpoint_of_json ~encode_result:report_json
     ~decode_result:report_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->
@@ -648,10 +654,10 @@ let decompose_report_of_json j =
     polish_evaluations = Json.to_int (Json.get "polish_evaluations" j);
   }
 
-let decompose ~store ~key ?(every = default_every) ~rng ~config ~crg ~cwg
+let decompose ?journal ?(every = default_every) ~rng ~config ~crg ~cwg
     ~objective_name ~objective_for ?region_objective_for ?pool
     ?(stop = fun () -> false) () =
-  let meta =
+  let meta () =
     Json.Assoc
       [
         ("algorithm", Json.Str "decompose");
@@ -662,17 +668,17 @@ let decompose ~store ~key ?(every = default_every) ~rng ~config ~crg ~cwg
         ("config", decompose_config_json config);
       ]
   in
-  run_leg ~store ~key ~meta ~every ~encode:decompose_checkpoint_json
+  run_leg ?journal ~meta ~every ~encode:decompose_checkpoint_json
     ~decode:decompose_checkpoint_of_json ~encode_result:decompose_report_json
     ~decode_result:decompose_report_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->
       Decompose.search ~rng ~config ~crg ~cwg ~objective_for
         ?region_objective_for ?pool ~stop ?checkpoint ?resume ())
 
-let local_search ~store ~key ?(every = default_every) ~objective ~tiles
+let local_search ?journal ?(every = default_every) ~objective ~tiles
     ~initial ?(max_evaluations = 100_000) ?(stop = fun () -> false)
     ?convergence () =
-  let meta =
+  let meta () =
     Json.Assoc
       [
         ("algorithm", Json.Str "ls");
@@ -683,7 +689,7 @@ let local_search ~store ~key ?(every = default_every) ~objective ~tiles
         ("initial", placement_json initial);
       ]
   in
-  run_leg ~store ~key ~meta ~every ~encode:ls_checkpoint_json
+  run_leg ?journal ~meta ~every ~encode:ls_checkpoint_json
     ~decode:ls_checkpoint_of_json ~encode_result:result_json
     ~decode_result:result_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->

@@ -1,9 +1,8 @@
-(** Crash-safe wrappers around {!Annealing.search} and
-    {!Local_search.search}: each call owns one journal shard in a
-    {!Nocmap_persist.Store} and is {e resumable} — run it again over
-    the same store after a crash and it picks up from the last
-    checkpoint, producing a result bit-identical to the uninterrupted
-    run.
+(** Crash-safe wrappers around the searchers: each journaled call owns
+    one journal shard in a {!Nocmap_persist.Store} and is {e resumable}
+    — run it again over the same store after a crash and it picks up
+    from the last checkpoint, producing a result bit-identical to the
+    uninterrupted run.
 
     Journal protocol per shard: [progress] records carry the live
     search state every [every] evaluations (and on interrupt); one
@@ -20,19 +19,23 @@
     silently mixing two different runs.  Run-level identity
     (application, mesh, seed) is the caller's manifest's job.
 
-    When [stop] is already set on entry the search runs with {e no}
-    persistence: the caller is winding down, so this leg's inputs may
-    derive from an upstream search that was itself cut short (a warm
-    start from an interrupted CWM leg, say) and journaling them would
+    Every wrapper takes its shard as one optional [?journal].  Without
+    it the call is the plain searcher (no shard, no fingerprint, [every]
+    ignored), so callers need no plain-versus-persisted branch.  The
+    same plain path runs when [stop] is already set on entry: the
+    caller is winding down, so this leg's inputs may derive from an
+    upstream search that was itself cut short and journaling them would
     poison the store with state a resumed run can never reproduce. *)
+
+type journal = Nocmap_persist.Store.t * string
+(** [(store, key)]: the store holding the shard, and the shard's key. *)
 
 val default_every : int
 (** Checkpoint cadence in evaluations when [?every] is omitted
     (10,000 — well under 2% overhead on CDCM objectives). *)
 
 val annealing :
-  store:Nocmap_persist.Store.t ->
-  key:string ->
+  ?journal:journal ->
   ?every:int ->
   rng:Nocmap_util.Rng.t ->
   config:Annealing.config ->
@@ -50,8 +53,7 @@ val annealing :
     @raise Failure on journal corruption or fingerprint mismatch. *)
 
 val local_search :
-  store:Nocmap_persist.Store.t ->
-  key:string ->
+  ?journal:journal ->
   ?every:int ->
   objective:Objective.t ->
   tiles:int ->
@@ -64,8 +66,7 @@ val local_search :
 (** {!Local_search.search} under the same protocol. *)
 
 val tabu :
-  store:Nocmap_persist.Store.t ->
-  key:string ->
+  ?journal:journal ->
   ?every:int ->
   rng:Nocmap_util.Rng.t ->
   config:Tabu.config ->
@@ -81,8 +82,7 @@ val tabu :
     ["tabu"] — a shard recorded by any other algorithm is rejected). *)
 
 val genetic :
-  store:Nocmap_persist.Store.t ->
-  key:string ->
+  ?journal:journal ->
   ?every:int ->
   rng:Nocmap_util.Rng.t ->
   config:Genetic.config ->
@@ -98,8 +98,7 @@ val genetic :
     ["ga"]). *)
 
 val portfolio :
-  store:Nocmap_persist.Store.t ->
-  key:string ->
+  ?journal:journal ->
   ?every:int ->
   rng:Nocmap_util.Rng.t ->
   config:Portfolio.config ->
@@ -125,8 +124,7 @@ val portfolio :
     without forcing [objective_for] (which may build caches). *)
 
 val decompose :
-  store:Nocmap_persist.Store.t ->
-  key:string ->
+  ?journal:journal ->
   ?every:int ->
   rng:Nocmap_util.Rng.t ->
   config:Decompose.config ->

@@ -1,10 +1,3 @@
-module Mesh = Nocmap_noc.Mesh
-module Crg = Nocmap_noc.Crg
-module Symmetry = Nocmap_noc.Symmetry
-module Cdcg = Nocmap_model.Cdcg
-module Cwg = Nocmap_model.Cwg
-module Noc_params = Nocmap_energy.Noc_params
-module Rng = Nocmap_util.Rng
 module Domain_pool = Nocmap_util.Domain_pool
 module Mapping = Nocmap_mapping
 module Json = Nocmap_persist.Json
@@ -136,8 +129,8 @@ type t = {
      guard that makes spool re-ingestion after a crash idempotent. *)
   known : (string, unit) Hashtbl.t;
   finished : (string, outcome) Hashtbl.t;
-  (* Eval caches shared across sequential jobs with the same NoC /
-     objective shape; see [cache_for]. *)
+  (* Eval caches shared across sequential jobs of one application and
+     NoC / objective shape; see [Run.Shared]. *)
   caches : (string, Mapping.Eval_cache.t) Hashtbl.t;
 }
 
@@ -360,229 +353,41 @@ let result_json (result : Mapping.Objective.search_result)
       ("texec_ns", Json.float_ evaluation.Mapping.Cost_cdcm.texec_ns);
     ]
 
-(* One shared cache per (application, mesh, routing, model, tech, flit,
-   incremental, core-count) shape: two jobs mapping the same application
-   onto the same NoC reuse each other's evaluations.  The application
-   enters as a digest of its CDCG text, so jobs over different apps of
-   the same size never read each other's costs.  Only valid
-   sequentially — Eval_cache and Objective are not thread-safe — so
-   parallel batches pass [share:false] and get private caches. *)
-let cache_for t ~share ~(spec : Job_spec.t) ~crg ~cdcg =
-  let level =
-    match spec.model with Job_spec.Cwm -> Symmetry.Hops | Job_spec.Cdcm -> Symmetry.Paths
-  in
-  let cores = Cdcg.core_count cdcg in
-  let discriminator =
-    String.concat "|"
-      [
-        Digest.to_hex (Digest.string (Nocmap_model.Textio.cdcg_to_string cdcg));
-        Job_spec.model_to_string spec.model;
-        spec.tech.Nocmap_energy.Technology.name;
-        string_of_int spec.flit_bits;
-        Nocmap_noc.Routing.algorithm_to_string spec.routing;
-        string_of_bool spec.incremental;
-      ]
-  in
-  let build () =
-    let symmetry = Symmetry.of_crg ~level crg in
-    Mapping.Eval_cache.create ~symmetry ~cores ~discriminator ()
-  in
-  if not share then build ()
-  else begin
-    let key =
-      Printf.sprintf "%s|%s|%d" (Mesh.to_string spec.mesh) discriminator cores
-    in
-    match Hashtbl.find_opt t.caches key with
-    | Some cache -> cache
-    | None ->
-      let cache = build () in
-      Hashtbl.replace t.caches key cache;
-      cache
-  end
-
 type run_outcome =
   | Run_done of Json.t
   | Run_failed of string
   | Run_stopped  (** External stop: the job stays pending. *)
 
-(* Execute one job to completion (or stop/deadline).  May raise — the
-   caller owns isolation and retry classification. *)
+(* Execute one job to completion (or stop/deadline) through the shared
+   run dispatcher.  May raise — the caller owns isolation and retry
+   classification.  Sequential jobs share the engine's per-application
+   caches; parallel batches ([share:false]) get private ones. *)
 let execute t ~share ~stop (spec : Job_spec.t) =
-  match Job_spec.resolve_app spec with
-  | Error reason -> Run_failed reason
-  | Ok cdcg ->
-    let tech = spec.Job_spec.tech in
-    let crg = Crg.create ~routing:spec.routing spec.mesh in
-    let params = Noc_params.make ~flit_bits:spec.flit_bits () in
-    let cwg = Cwg.of_cdcg cdcg in
-    let tiles = Mesh.tile_count spec.mesh in
-    let cores = Cdcg.core_count cdcg in
-    let rng = Rng.create ~seed:spec.seed in
-    let incremental = spec.incremental in
-    let objective =
-      match spec.model with
-      | Job_spec.Cwm -> Mapping.Objective.cwm ~tech ~crg ~cwg
-      | Job_spec.Cdcm -> Mapping.Objective.cdcm ~incremental ~tech ~params ~crg ~cdcg ()
-    in
-    let cache = cache_for t ~share ~spec ~crg ~cdcg in
-    let objective = Mapping.Objective.with_cache cache objective in
-    (* The deadline stop must be sticky (searches require it) and
-       latched separately from the external stop so the caller can tell
-       "out of time" from "daemon winding down". *)
-    let deadline =
-      match (spec.timeout_ms, t.config.default_timeout_ms) with
-      | Some ms, _ | None, Some ms -> Some (t.config.now_ms () + ms)
-      | None, None -> None
-    in
-    let timed_out = ref false in
-    let job_stop () =
-      if stop () then true
-      else
-        match deadline with
-        | Some d when (not !timed_out) && t.config.now_ms () > d -> timed_out := true; true
-        | _ -> !timed_out
-    in
-    let shard suffix = Printf.sprintf "job.%s.%s" spec.id suffix in
-    let every = t.config.checkpoint_every in
-    let sa_config =
-      let c =
-        match spec.budget with
-        | Job_spec.Quick -> Mapping.Annealing.quick_config ~tiles
-        | Job_spec.Standard -> Mapping.Annealing.default_config ~tiles
-      in
-      if incremental then { c with Mapping.Annealing.prune = Some 20.0 } else c
-    in
-    let local_budget =
-      match spec.budget with Job_spec.Quick -> Some 10_000 | Job_spec.Standard -> None
-    in
-    let result =
-      match spec.algorithm with
-      | Job_spec.Sa ->
-        Mapping.Search_persist.annealing ~store:t.store ~key:(shard "sa") ~every
-          ~rng ~config:sa_config ~tiles ~objective ~stop:job_stop ~cores ()
-      | Job_spec.Local ->
-        let initial = Mapping.Placement.random rng ~cores ~tiles in
-        Mapping.Search_persist.local_search ~store:t.store ~key:(shard "local")
-          ~every ~objective ~tiles ~initial ?max_evaluations:local_budget
-          ~stop:job_stop ()
-      | Job_spec.Greedy_local ->
-        let seed = Mapping.Greedy.search ~tech ~crg ~cwg () in
-        Mapping.Search_persist.local_search ~store:t.store ~key:(shard "local")
-          ~every ~objective ~tiles
-          ~initial:seed.Mapping.Objective.placement
-          ?max_evaluations:local_budget ~stop:job_stop ()
-      | Job_spec.Greedy -> Mapping.Greedy.search ~tech ~crg ~cwg ()
-      | Job_spec.Random ->
-        let samples =
-          match spec.budget with Job_spec.Quick -> 100 | Job_spec.Standard -> 1000
-        in
-        Mapping.Random_search.search ~rng ~objective ~cores ~tiles ~samples
-      | Job_spec.Es ->
-        let symmetry =
-          Symmetry.of_crg
-            ~level:
-              (match spec.model with
-              | Job_spec.Cwm -> Symmetry.Hops
-              | Job_spec.Cdcm -> Symmetry.Paths)
-            crg
-        in
-        Mapping.Exhaustive.search ~objective ~cores ~tiles ~symmetry ()
-      | Job_spec.Portfolio strategies ->
-        let portfolio_config =
-          match spec.budget with
-          | Job_spec.Quick -> Mapping.Portfolio.quick_config ~tiles
-          | Job_spec.Standard -> Mapping.Portfolio.default_config ~tiles
-        in
-        let symmetry =
-          Symmetry.of_crg
-            ~level:
-              (match spec.model with
-              | Job_spec.Cwm -> Symmetry.Hops
-              | Job_spec.Cdcm -> Symmetry.Paths)
-            crg
-        in
-        (* Racers may run on distinct domains and Eval_cache is
-           single-domain, so the portfolio never borrows the engine's
-           shared caches: each strategy gets a fresh objective and a
-           private cache built from the one symmetry group above. *)
-        let objective_for _ =
-          let base =
-            match spec.model with
-            | Job_spec.Cwm -> Mapping.Objective.cwm ~tech ~crg ~cwg
-            | Job_spec.Cdcm ->
-              Mapping.Objective.cdcm ~incremental ~tech ~params ~crg ~cdcg ()
-          in
-          Mapping.Objective.with_cache
-            (Mapping.Eval_cache.create ~symmetry ~cores
-               ~discriminator:(Job_spec.model_to_string spec.model)
-               ())
-            base
-        in
-        let report =
-          Mapping.Search_persist.portfolio ~store:t.store
-            ~key:(shard "portfolio") ~every ~rng ~config:portfolio_config
-            ~strategies ~tech ~crg ~cwg
-            ~objective_name:objective.Mapping.Objective.name ~objective_for
-            ~stop:job_stop ()
-        in
-        report.Mapping.Portfolio.result
-      | Job_spec.Decompose refiner ->
-        let tiles_count = tiles in
-        let decompose_config =
-          let c =
-            match spec.budget with
-            | Job_spec.Quick -> Mapping.Decompose.quick_config ~tiles:tiles_count
-            | Job_spec.Standard ->
-              Mapping.Decompose.default_config ~tiles:tiles_count
-          in
-          { c with Mapping.Decompose.refiner }
-        in
-        let symmetry =
-          Symmetry.of_crg
-            ~level:
-              (match spec.model with
-              | Job_spec.Cwm -> Symmetry.Hops
-              | Job_spec.Cdcm -> Symmetry.Paths)
-            crg
-        in
-        (* Regions may refine on distinct domains and Eval_cache is
-           single-domain, so decompose never borrows the engine's shared
-           caches: each region gets a fresh objective and a private
-           cache built from the one symmetry group above. *)
-        let objective_for () =
-          let base =
-            match spec.model with
-            | Job_spec.Cwm -> Mapping.Objective.cwm ~tech ~crg ~cwg
-            | Job_spec.Cdcm ->
-              Mapping.Objective.cdcm ~incremental ~tech ~params ~crg ~cdcg ()
-          in
-          Mapping.Objective.with_cache
-            (Mapping.Eval_cache.create ~symmetry ~cores
-               ~discriminator:(Job_spec.model_to_string spec.model)
-               ())
-            base
-        in
-        let report =
-          Mapping.Search_persist.decompose ~store:t.store
-            ~key:(shard "decompose") ~every ~rng ~config:decompose_config ~crg
-            ~cwg ~objective_name:objective.Mapping.Objective.name
-            ~objective_for ~stop:job_stop ()
-        in
-        report.Mapping.Decompose.result
-    in
-    if stop () then Run_stopped
-    else if !timed_out then
-      Run_failed
-        (Printf.sprintf "timeout after %d ms"
-           (match (spec.timeout_ms, t.config.default_timeout_ms) with
-           | Some ms, _ | None, Some ms -> ms
-           | None, None -> 0))
+  let timeout_ms =
+    match spec.timeout_ms with None -> t.config.default_timeout_ms | own -> own
+  in
+  (* The deadline stop must be sticky (searches require it) and latched
+     separately from the external stop so the caller can tell "out of
+     time" from "daemon winding down". *)
+  let deadline = Option.map (fun ms -> t.config.now_ms () + ms) timeout_ms in
+  let timed_out = ref false in
+  let job_stop () =
+    if stop () then true
     else
-      let evaluation =
-        Mapping.Cost_cdcm.evaluate ~tech ~params ~crg ~cdcg
-          result.Mapping.Objective.placement
-      in
-      Run_done (result_json result evaluation)
+      match deadline with
+      | Some d when (not !timed_out) && t.config.now_ms () > d -> timed_out := true; true
+      | _ -> !timed_out
+  in
+  let journal =
+    { Run.store = t.store; prefix = "job." ^ spec.id; every = t.config.checkpoint_every }
+  in
+  let cache = if share then Run.Shared t.caches else Run.Private in
+  match Run.execute ~journal ~stop:job_stop ~cache spec with
+  | Error reason -> Run_failed reason
+  | Ok _ when stop () -> Run_stopped
+  | Ok _ when !timed_out ->
+    Run_failed (Printf.sprintf "timeout after %d ms" (Option.value timeout_ms ~default:0))
+  | Ok o -> Run_done (result_json o.Run.result o.Run.evaluation)
 
 (* Journal a finished job and emit its event; journal failures here are
    retried like admissions — losing a done record would re-run the job

@@ -78,13 +78,22 @@ val submit : t -> source:string -> string -> submit_outcome
 (** Parse, validate, journal and enqueue one raw job-spec text.  Never
     raises. *)
 
+val result_json :
+  Nocmap_mapping.Objective.search_result ->
+  Nocmap_mapping.Cost_cdcm.evaluation ->
+  Nocmap_persist.Json.t
+(** The [result] payload of a [Completed] event: placement, search
+    cost, evaluation count, and the final placement's CDCM energy and
+    execution time. *)
+
 val run_pending : ?pool:Nocmap_util.Domain_pool.t -> ?stop:(unit -> bool) -> t -> unit
 (** Runs queued jobs FIFO until the queue is empty or [stop] (sticky)
     fires.  With [pool], up to [Domain_pool.jobs pool] jobs run
     concurrently per batch, each on a private evaluation cache; events
     are still emitted in queue order.  A job interrupted by [stop]
     stays pending (its search checkpoints survive); a job that exceeds
-    its deadline fails with a [timeout] reason. *)
+    its deadline fails with a [timeout] reason.  Every job runs through
+    {!Run.execute}, journaled under the shard prefix [job.<id>]. *)
 
 val queue_depth : t -> int
 val has_capacity : t -> bool

@@ -197,6 +197,12 @@ let parse_routing s =
     Error (Printf.sprintf "field \"routing\": %s" msg)
   | exception _ -> Error (Printf.sprintf "field \"routing\": bad algorithm %S" s)
 
+let max_flit_bits = 4096
+
+let check_flit_bits bits =
+  if bits >= 1 && bits <= max_flit_bits then Ok bits
+  else Error (Printf.sprintf "%d is out of range 1-%d" bits max_flit_bits)
+
 let of_json j =
   match j with
   | Json.Assoc _ ->
@@ -222,9 +228,8 @@ let of_json j =
       | None -> Error (Printf.sprintf "field \"tech\": unknown technology %S" tech_s)
     in
     let* flit_bits = int_field ~default:16 j "flit" in
-    let* () =
-      if flit_bits >= 1 && flit_bits <= 4096 then Ok ()
-      else Error (Printf.sprintf "field \"flit\": %d is out of range 1-4096" flit_bits)
+    let* flit_bits =
+      Result.map_error (fun e -> "field \"flit\": " ^ e) (check_flit_bits flit_bits)
     in
     let* model_s = str_field ~default:"cdcm" j "model" in
     let* model = model_of_string model_s in
@@ -332,21 +337,20 @@ let of_string text =
       | (Ok _ | Error _) as r -> r
       | exception e -> Error ("invalid job spec: " ^ Printexc.to_string e))
 
-let resolve_app t =
-  let* cdcg =
-    match t.app with
-    | Builtin name -> (
-      match Nocmap_apps.Catalog.find name with
-      | Some cdcg -> Ok cdcg
-      | None -> Error (Printf.sprintf "unknown built-in application %S" name))
-    | Path path -> Textio.load_cdcg ~path
-    | Inline text -> Textio.cdcg_of_string text
-  in
+let load_app = function
+  | Builtin name -> (
+    match Nocmap_apps.Catalog.find name with
+    | Some cdcg -> Ok cdcg
+    | None -> Error (Printf.sprintf "unknown built-in application %S" name))
+  | Path path -> Textio.load_cdcg ~path
+  | Inline text -> Textio.cdcg_of_string text
+
+let fit_app ~mesh cdcg =
   let cores = Cdcg.core_count cdcg in
-  let tiles = Mesh.tile_count t.mesh in
-  if cores > tiles then
-    Error
-      (Printf.sprintf "%d cores do not fit on %s" cores (Mesh.to_string t.mesh))
+  if cores > Mesh.tile_count mesh then
+    Error (Printf.sprintf "%d cores do not fit on %s" cores (Mesh.to_string mesh))
   else Ok cdcg
+
+let resolve_app t = Result.bind (load_app t.app) (fit_app ~mesh:t.mesh)
 
 let fingerprint t = Json.to_string (to_json t)

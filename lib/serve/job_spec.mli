@@ -72,9 +72,25 @@ val of_string : string -> (t, string) result
 (** {!of_json} after JSON parsing, with a 1 MiB size guard.  Never
     raises, whatever the input bytes. *)
 
+val max_flit_bits : int
+(** Widest accepted link, 4096 bits; the narrowest is 1. *)
+
+val check_flit_bits : int -> (int, string) result
+(** [Ok bits] when [bits] lies in 1-{!max_flit_bits}, else an error
+    naming the range.  The ["flit"] field and the CLI [--flit] flag
+    share it. *)
+
+val load_app : app -> (Nocmap_model.Cdcg.t, string) result
+(** Loads the application: catalog lookup, file read (errors are
+    path-prefixed) or inline parse.  Never raises. *)
+
+val fit_app :
+  mesh:Nocmap_noc.Mesh.t -> Nocmap_model.Cdcg.t -> (Nocmap_model.Cdcg.t, string) result
+(** [Error] naming both sizes when the application has more cores than
+    [mesh] has tiles. *)
+
 val resolve_app : t -> (Nocmap_model.Cdcg.t, string) result
-(** Loads the application (catalog lookup, file read or inline parse)
-    and checks it fits the mesh.  Never raises. *)
+(** {!load_app}, then {!fit_app} on the spec's mesh.  Never raises. *)
 
 val fingerprint : t -> string
 (** Deterministic serialization of the full spec, used as the

@@ -1,0 +1,201 @@
+module Mesh = Nocmap_noc.Mesh
+module Crg = Nocmap_noc.Crg
+module Symmetry = Nocmap_noc.Symmetry
+module Cdcg = Nocmap_model.Cdcg
+module Mapping = Nocmap_mapping
+module Objective = Nocmap_mapping.Objective
+module Eval_cache = Nocmap_mapping.Eval_cache
+
+type journal = { store : Nocmap_persist.Store.t; prefix : string; every : int }
+
+type cache =
+  | No_cache
+  | Private
+  | Shared of (string, Eval_cache.t) Hashtbl.t
+
+type report =
+  | Plain
+  | Portfolio of Mapping.Portfolio.report
+  | Decompose of Mapping.Decompose.report
+
+type outcome = {
+  cdcg : Cdcg.t;
+  result : Objective.search_result;
+  evaluation : Mapping.Cost_cdcm.evaluation;
+  report : report;
+  cache : Eval_cache.t option;
+}
+
+(* Greedy+local journals its local-search leg under the same key as
+   plain local search. *)
+let shard_suffix : Job_spec.algorithm -> string option = function
+  | Sa -> Some "sa"
+  | Local | Greedy_local -> Some "local"
+  | Portfolio _ -> Some "portfolio"
+  | Decompose _ -> Some "decompose"
+  | Greedy | Random | Es -> None
+
+let journaled algorithm = Option.is_some (shard_suffix algorithm)
+
+let journaled_algorithms =
+  Job_spec.[ Sa; Local; Greedy; Greedy_local; Random; Es; Portfolio []; Decompose Sa ]
+  |> List.filter journaled
+  |> List.map Job_spec.algorithm_to_string
+
+let parallel : Job_spec.algorithm -> bool = function
+  | Portfolio _ | Decompose _ -> true
+  | Sa | Local | Greedy | Greedy_local | Random | Es -> false
+
+(* The one per-budget configuration table. *)
+let quick (spec : Job_spec.t) = spec.budget = Job_spec.Quick
+
+(* Without a prune margin the annealer never consults the bound
+   function, so the incremental evaluator would have nothing to reject;
+   the margin matches Experiment's standard configs. *)
+let sa_config spec ~tiles =
+  let c =
+    if quick spec then Mapping.Annealing.quick_config ~tiles
+    else Mapping.Annealing.default_config ~tiles
+  in
+  if spec.incremental then { c with Mapping.Annealing.prune = Some 20.0 } else c
+
+(* A shared cache serves every sequential run of one (application, mesh,
+   routing, model, tech, flit, incremental, core-count) shape.  The
+   application enters as a digest of its CDCG text, so runs over
+   different apps of the same size never read each other's costs. *)
+let shared_cache table (spec : Job_spec.t) ~cdcg ~cores ~symmetry =
+  let discriminator =
+    String.concat "|"
+      [
+        Digest.to_hex (Digest.string (Nocmap_model.Textio.cdcg_to_string cdcg));
+        Job_spec.model_to_string spec.model;
+        spec.tech.Nocmap_energy.Technology.name;
+        string_of_int spec.flit_bits;
+        Nocmap_noc.Routing.algorithm_to_string spec.routing;
+        string_of_bool spec.incremental;
+      ]
+  in
+  let key = Printf.sprintf "%s|%s|%d" (Mesh.to_string spec.mesh) discriminator cores in
+  match Hashtbl.find_opt table key with
+  | Some cache -> cache
+  | None ->
+    let cache = Eval_cache.create ~symmetry:(Lazy.force symmetry) ~cores ~discriminator () in
+    Hashtbl.replace table key cache;
+    cache
+
+let execute ?journal ?pool ?convergence ~stop ~cache (spec : Job_spec.t) =
+  Job_spec.resolve_app spec
+  |> Result.map @@ fun cdcg ->
+     let tech = spec.tech in
+     let crg = Crg.create ~routing:spec.routing spec.mesh in
+     let params = Nocmap_energy.Noc_params.make ~flit_bits:spec.flit_bits () in
+     let cwg = Nocmap_model.Cwg.of_cdcg cdcg in
+     let tiles = Mesh.tile_count spec.mesh in
+     let cores = Cdcg.core_count cdcg in
+     let rng = Nocmap_util.Rng.create ~seed:spec.seed in
+     let name = Job_spec.model_to_string spec.model in
+     let base () =
+       match spec.model with
+       | Job_spec.Cwm -> Objective.cwm ~tech ~crg ~cwg
+       | Job_spec.Cdcm ->
+         Objective.cdcm ~incremental:spec.incremental ~tech ~params ~crg ~cdcg ()
+     in
+     let cached c = Objective.with_cache c (base ()) in
+     let caching = match cache with No_cache -> false | Private | Shared _ -> true in
+     (* CWM only reads per-pair hop counts, so it may use the larger
+        hop-exact group; the simulation-backed CDCM needs path-exact. *)
+     let symmetry =
+       lazy
+         (Symmetry.of_crg crg
+            ~level:(if spec.model = Job_spec.Cwm then Symmetry.Hops else Symmetry.Paths))
+     in
+     let private_cache ?support symmetry =
+       Eval_cache.create ~symmetry ~cores ?support ~discriminator:name ()
+     in
+     (* The objective of a single-domain search, and the cache it reports. *)
+     let used_cache = ref None in
+     let objective () =
+       used_cache :=
+         (match cache with
+         | No_cache -> None
+         | Private -> Some (private_cache (Lazy.force symmetry))
+         | Shared table -> Some (shared_cache table spec ~cdcg ~cores ~symmetry));
+       Option.fold ~none:(base ()) ~some:cached !used_cache
+     in
+     (* Racers and regions may run on distinct domains and Eval_cache is
+        single-domain, so each gets a fresh objective and private cache,
+        all from one symmetry group forced here, on the calling domain. *)
+     let fresh_objectives () =
+       if not caching then base
+       else
+         let symmetry = Lazy.force symmetry in
+         fun () -> cached (private_cache symmetry)
+     in
+     (* A decompose region only moves its own cluster, so its cache keys
+        just those cores (and drops the mesh group, which the frozen
+        context breaks anyway): the dominant cache allocation shrinks by
+        ~[cores / region] compared to a full-key cache per region. *)
+     let region_objective_for ~cores:support ~tiles:_ =
+       if not caching then base ()
+       else cached (private_cache ~support (Symmetry.identity_only spec.mesh))
+     in
+     let journal, every =
+       match (journal, shard_suffix spec.algorithm) with
+       | Some j, Some suffix -> (Some (j.store, j.prefix ^ "." ^ suffix), Some j.every)
+       | _ -> (None, None)
+     in
+     let local_search initial =
+       Mapping.Search_persist.local_search ?journal ?every ~objective:(objective ()) ~tiles
+         ~initial
+         ?max_evaluations:(if quick spec then Some 10_000 else None)
+         ~stop ?convergence ()
+     in
+     let result, report =
+       match spec.algorithm with
+       | Job_spec.Sa ->
+         ( Mapping.Search_persist.annealing ?journal ?every ~rng
+             ~config:(sa_config spec ~tiles) ~tiles ~objective:(objective ()) ~stop
+             ?convergence ~cores (),
+           Plain )
+       | Job_spec.Local -> (local_search (Mapping.Placement.random rng ~cores ~tiles), Plain)
+       | Job_spec.Greedy_local ->
+         (local_search (Mapping.Greedy.search ~tech ~crg ~cwg ()).placement, Plain)
+       | Job_spec.Greedy -> (Mapping.Greedy.search ~tech ~crg ~cwg (), Plain)
+       | Job_spec.Random ->
+         ( Mapping.Random_search.search ~rng ~objective:(objective ()) ~cores ~tiles
+             ~samples:(if quick spec then 100 else 1000),
+           Plain )
+       | Job_spec.Es ->
+         let objective = objective () in
+         let symmetry = if caching then Some (Lazy.force symmetry) else None in
+         (Mapping.Exhaustive.search ~objective ~cores ~tiles ?symmetry ?convergence (), Plain)
+       | Job_spec.Portfolio strategies ->
+         let fresh = fresh_objectives () in
+         let config =
+           if quick spec then Mapping.Portfolio.quick_config ~tiles
+           else Mapping.Portfolio.default_config ~tiles
+         in
+         let r =
+           Mapping.Search_persist.portfolio ?journal ?every ~rng ~config ~strategies ~tech
+             ~crg ~cwg ~objective_name:name
+             ~objective_for:(fun _ -> fresh ())
+             ?pool ~stop ()
+         in
+         (r.result, Portfolio r)
+       | Job_spec.Decompose refiner ->
+         let fresh = fresh_objectives () in
+         let config =
+           if quick spec then Mapping.Decompose.quick_config ~tiles
+           else Mapping.Decompose.default_config ~tiles
+         in
+         let r =
+           Mapping.Search_persist.decompose ?journal ?every ~rng
+             ~config:{ config with refiner } ~crg ~cwg ~objective_name:name
+             ~objective_for:fresh ~region_objective_for ?pool ~stop ()
+         in
+         (r.result, Decompose r)
+     in
+     let evaluation =
+       Mapping.Cost_cdcm.evaluate ~tech ~params ~crg ~cdcg result.Objective.placement
+     in
+     { cdcg; result; evaluation; report; cache = !used_cache }

@@ -1,0 +1,64 @@
+(** The one run dispatcher: a validated {!Job_spec.t} in, a mapping out.
+
+    CLI [map] and the serve {!Engine} both execute their runs here, so
+    the paper's flow — pick the CWM or CDCM objective, then search — is
+    written once.  [execute] owns the per-budget configuration table,
+    the objective, symmetry group and evaluation caches (decomposition's
+    region-keyed ones included) and the journal shard keys.  Callers
+    supply only what differs between them. *)
+
+type journal = {
+  store : Nocmap_persist.Store.t;
+  prefix : string;
+      (** Runs journal under [prefix ^ "." ^ suffix]: [map.sa],
+          [job.<id>.decompose]; greedy+local uses the [local] suffix. *)
+  every : int;  (** Checkpoint cadence in cost evaluations. *)
+}
+
+(** Every policy gives bit-identical results; only CPU time and the
+    [cache.*] metrics change.  Portfolio racers and decompose regions
+    always get private caches. *)
+type cache =
+  | No_cache  (** Also makes [es] enumerate every placement. *)
+  | Private  (** Fresh caches owned by this run. *)
+  | Shared of (string, Nocmap_mapping.Eval_cache.t) Hashtbl.t
+      (** Single-domain searches look their cache up here, keyed by the
+          application digest and the NoC/objective shape, so sequential
+          runs of one application share evaluations.  Not thread-safe. *)
+
+type report =
+  | Plain
+  | Portfolio of Nocmap_mapping.Portfolio.report
+  | Decompose of Nocmap_mapping.Decompose.report
+
+type outcome = {
+  cdcg : Nocmap_model.Cdcg.t;  (** The resolved application. *)
+  result : Nocmap_mapping.Objective.search_result;
+  evaluation : Nocmap_mapping.Cost_cdcm.evaluation;
+      (** The final placement under the full CDCM model. *)
+  report : report;
+  cache : Nocmap_mapping.Eval_cache.t option;
+      (** The cache of a single-domain search, for hit-rate reports. *)
+}
+
+val execute :
+  ?journal:journal ->
+  ?pool:Nocmap_util.Domain_pool.t ->
+  ?convergence:Nocmap_obs.Series.t ->
+  stop:(unit -> bool) ->
+  cache:cache ->
+  Job_spec.t ->
+  (outcome, string) result
+(** [Error] when the application cannot be loaded or does not fit.
+    With [journal] the {!journaled} algorithms checkpoint through
+    {!Nocmap_mapping.Search_persist}, and a re-run over the same store
+    resumes bit-identically.  [pool] serves the {!parallel} algorithms;
+    [convergence] records sa, es, local and greedy+local.  [stop] must
+    be sticky; a stopped run returns its best-so-far.
+    @raise Failure on a corrupt journal or a checkpoint of another run. *)
+
+val journaled : Job_spec.algorithm -> bool
+val journaled_algorithms : string list
+
+val parallel : Job_spec.algorithm -> bool
+(** Portfolio and decompose, the algorithms that use a domain pool. *)

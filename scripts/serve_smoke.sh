@@ -9,6 +9,11 @@
 # restart re-emits recorded outcomes), while one killed before the first
 # checkpoint exercises the fresh-start path — the comparison holds
 # either way.
+#
+# Two further checks ride along.  CLI/serve parity: one standard-budget
+# job per algorithm through the daemon must place every core on the
+# same tile as `nocmap map` with the same spec.  Hostile flags: bad
+# --noc/--flit values must be usage errors, never an uncaught exception.
 set -eu
 
 CLI=${NOCMAP_CLI:-./_build/default/bin/nocmap_cli.exe}
@@ -75,6 +80,46 @@ for id in job-a job-b; do
     echo "  reference: $ref" >&2
     echo "  resumed:   $crash" >&2
     status=1
+  fi
+done
+# CLI/serve parity: both front ends execute the same run dispatcher, so
+# the placements must agree for every algorithm.
+mkdir -p "$DIR/spool-parity/incoming"
+algs="sa local greedy+local random es portfolio decompose"
+for alg in $algs; do
+  id=par-$(echo "$alg" | tr '+' '-')
+  printf '{"id":"%s","app":{"builtin":"fft8"},"noc":"3x3","algorithm":"%s","seed":9}\n' \
+    "$id" "$alg" >"$DIR/spool-parity/incoming/$id.json"
+done
+"$CLI" serve --state "$DIR/state-parity" --spool "$DIR/spool-parity" \
+  --drain-once >/dev/null 2>&1
+for alg in $algs; do
+  id=par-$(echo "$alg" | tr '+' '-')
+  "$CLI" map --builtin fft8 --noc 3x3 --algorithm "$alg" --seed 9 \
+    --save "$DIR/$id.placement" >/dev/null 2>&1
+  cli=$(awk '$1 == "core" { print $4 }' "$DIR/$id.placement" | paste -sd, -)
+  served=$(grep '"status":"done"' "$DIR/spool-parity/replies/$id.jsonl" 2>/dev/null |
+    tail -1 | sed 's/.*"placement":\[\([0-9,]*\)\].*/\1/')
+  if [ -n "$cli" ] && [ "$cli" = "$served" ]; then
+    echo "serve-smoke: $alg placement identical in CLI and serve ($cli)"
+  else
+    echo "serve-smoke: $alg placement differs: CLI [$cli], serve [$served]" >&2
+    status=1
+  fi
+done
+
+# Hostile flags: a usage error (non-zero exit), never an internal error.
+for args in "map --noc 3xq --builtin fft8" "profile --noc 0x3 --builtin fft8" \
+  "map --noc 3x3 --builtin fft8 --flit 0"; do
+  # shellcheck disable=SC2086 # word-splitting the argument list is intended
+  if "$CLI" $args >/dev/null 2>"$DIR/hostile.err"; then
+    echo "serve-smoke: 'nocmap $args' exited 0" >&2
+    status=1
+  elif grep -q "internal error" "$DIR/hostile.err"; then
+    echo "serve-smoke: 'nocmap $args' raised an internal error" >&2
+    status=1
+  else
+    echo "serve-smoke: 'nocmap $args' is a usage error"
   fi
 done
 exit $status

@@ -208,7 +208,7 @@ let prop_jobs_invariant =
 (* --- kill + resume --- *)
 
 let persisted ?stop ~store seed =
-  Mapping.Search_persist.decompose ~store ~key:"decompose" ~every:200
+  Mapping.Search_persist.decompose ~journal:(store, "decompose") ~every:200
     ~rng:(Rng.create ~seed) ~config:(config ()) ~crg ~cwg:(cwg seed)
     ~objective_name:"cwm" ~objective_for:(objective_for seed) ?stop ()
 
@@ -237,7 +237,7 @@ let test_persist_rejects_config_mismatch () =
   Alcotest.(check bool)
     "changed refiner is refused" true
     (match
-       Mapping.Search_persist.decompose ~store ~key:"decompose" ~every:200
+       Mapping.Search_persist.decompose ~journal:(store, "decompose") ~every:200
          ~rng:(Rng.create ~seed:7)
          ~config:(config ~refiner:Mapping.Decompose.Local ())
          ~crg ~cwg:(cwg 7) ~objective_name:"cwm"

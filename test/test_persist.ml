@@ -182,7 +182,7 @@ let sa_reference seed =
     ~objective ~cores:4 ()
 
 let sa_persisted ~store ?stop seed =
-  Mapping.Search_persist.annealing ~store ~key:"sa" ~every:100
+  Mapping.Search_persist.annealing ~journal:(store, "sa") ~every:100
     ~rng:(Rng.create ~seed) ~config:sa_config ~tiles:4 ~objective ?stop
     ~cores:4 ()
 
@@ -206,7 +206,7 @@ let ls_reference () =
   Mapping.Local_search.search ~objective ~tiles:4 ~initial:ls_initial ()
 
 let ls_persisted ~store ?stop () =
-  Mapping.Search_persist.local_search ~store ~key:"ls" ~every:3 ~objective
+  Mapping.Search_persist.local_search ~journal:(store, "ls") ~every:3 ~objective
     ~tiles:4 ~initial:ls_initial ?stop ()
 
 let prop_ls_kill_resume_bit_identical =
@@ -228,6 +228,48 @@ let test_sa_persisted_matches_plain () =
   let store = Store.open_ ~dir:(temp_dir ()) in
   let persisted = sa_persisted ~store 7 in
   check_result "persisted vs plain" reference persisted
+
+(* Without a journal every wrapper is exactly its searcher: same
+   result (and full report) bit for bit, so callers need no
+   plain-versus-persisted branch. *)
+let test_unjournaled_equals_plain () =
+  check_result "annealing" (sa_reference 7)
+    (Mapping.Search_persist.annealing ~rng:(Rng.create ~seed:7) ~config:sa_config
+       ~tiles:4 ~objective ~cores:4 ());
+  check_result "local search" (ls_reference ())
+    (Mapping.Search_persist.local_search ~objective ~tiles:4 ~initial:ls_initial ());
+  let cwg = Nocmap_model.Cwg.of_cdcg Fig1.cdcg in
+  let fresh () =
+    Mapping.Objective.cdcm ~tech ~params:Noc_params.paper_example ~crg
+      ~cdcg:Fig1.cdcg ()
+  in
+  let portfolio_config = Mapping.Portfolio.quick_config ~tiles:4 in
+  let strategies = Mapping.Portfolio.all_strategies in
+  let plain =
+    Mapping.Portfolio.search ~rng:(Rng.create ~seed:7) ~config:portfolio_config
+      ~strategies ~tech ~crg ~cwg ~objective_for:(fun _ -> fresh ()) ()
+  in
+  let wrapped =
+    Mapping.Search_persist.portfolio ~rng:(Rng.create ~seed:7)
+      ~config:portfolio_config ~strategies ~tech ~crg ~cwg ~objective_name:"cdcm"
+      ~objective_for:(fun _ -> fresh ()) ()
+  in
+  check_result "portfolio" plain.Mapping.Portfolio.result
+    wrapped.Mapping.Portfolio.result;
+  Alcotest.(check bool) "portfolio report" true (plain = wrapped);
+  let decompose_config = Mapping.Decompose.quick_config ~tiles:4 in
+  let plain =
+    Mapping.Decompose.search ~rng:(Rng.create ~seed:7) ~config:decompose_config
+      ~crg ~cwg ~objective_for:fresh ()
+  in
+  let wrapped =
+    Mapping.Search_persist.decompose ~rng:(Rng.create ~seed:7)
+      ~config:decompose_config ~crg ~cwg ~objective_name:"cdcm"
+      ~objective_for:fresh ()
+  in
+  check_result "decompose" plain.Mapping.Decompose.result
+    wrapped.Mapping.Decompose.result;
+  Alcotest.(check bool) "decompose report" true (plain = wrapped)
 
 (* --- driver kill + resume --- *)
 
@@ -308,6 +350,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_ls_kill_resume_bit_identical;
       Alcotest.test_case "persisted SA matches plain SA" `Quick
         test_sa_persisted_matches_plain;
+      Alcotest.test_case "unjournaled wrappers equal the plain searchers" `Quick
+        test_unjournaled_equals_plain;
       Alcotest.test_case "table2 kill+resume bit-identical" `Quick
         test_table2_kill_resume;
       Alcotest.test_case "table2 pooled kill+resume bit-identical" `Quick

@@ -17,6 +17,11 @@ let temp_dir () =
   Fsutil.mkdir_p path;
   path
 
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
 let stop_after n =
   let calls = Atomic.make 0 in
   fun () -> Atomic.fetch_and_add calls 1 >= n
@@ -565,17 +570,117 @@ let test_serve_metrics_registered () =
           "serve.jobs_replayed"; "serve.queue_depth"; "serve.job_latency_ms";
         ])
 
+(* --- the one run dispatcher --- *)
+
+module Run = Serve.Run
+module Store = Nocmap_persist.Store
+
+let algorithms =
+  [ "sa"; "local"; "greedy"; "greedy+local"; "random"; "es"; "portfolio"; "decompose" ]
+
+(* The quick-budget fft8-on-3x3 job of one algorithm; ids stay within the
+   job-id alphabet, so "greedy+local" becomes "greedy-local". *)
+let parity_job algorithm =
+  let id = "par-" ^ String.map (function '+' -> '-' | c -> c) algorithm in
+  ( id,
+    Printf.sprintf
+      {|{"id":%S,"app":{"builtin":"fft8"},"noc":"3x3","algorithm":%S,"budget":"quick","seed":9}|}
+      id algorithm )
+
+let parse_spec text =
+  match Job_spec.of_string text with Ok s -> s | Error e -> Alcotest.fail e
+
+let run_json ?journal spec =
+  match Run.execute ?journal ~stop:(fun () -> false) ~cache:Run.Private spec with
+  | Error e -> Alcotest.fail e
+  | Ok o -> Json.to_string (Engine.result_json o.Run.result o.Run.evaluation)
+
+let shard_exists store key = Sys.file_exists (Store.shard_path store ~key)
+
+(* CLI and serve share one dispatcher: for every algorithm the plain
+   run, a run journaled under the CLI's "map" prefix and the engine's
+   reply are byte-identical, and only the journaled algorithms write
+   shards, under "map.<alg>" and "job.<id>.<alg>". *)
+let test_run_parity () =
+  List.iter
+    (fun algorithm ->
+      let id, text = parity_job algorithm in
+      let spec = parse_spec text in
+      let plain = run_json spec in
+      let store = Store.open_ ~dir:(temp_dir ()) in
+      let journaled =
+        run_json ~journal:{ Run.store; prefix = "map"; every = 50 } spec
+      in
+      let dir = temp_dir () in
+      let engine, events = make_engine ~config:fast_config dir in
+      (match Engine.submit engine ~source:"test" text with
+      | Engine.Submitted -> ()
+      | _ -> Alcotest.fail "expected Submitted");
+      Engine.run_pending engine;
+      Engine.close engine;
+      let served =
+        match find_completed events id with
+        | Some r -> Json.to_string r
+        | None -> Alcotest.fail ("no Completed event for " ^ algorithm)
+      in
+      Alcotest.(check string) (algorithm ^ ": journaled = plain") plain journaled;
+      Alcotest.(check string) (algorithm ^ ": served = plain") plain served;
+      let suffix =
+        match algorithm with
+        | "greedy+local" -> "local"
+        | a -> a
+      in
+      let journals = Run.journaled spec.Job_spec.algorithm in
+      Alcotest.(check bool)
+        (algorithm ^ ": CLI shard map." ^ suffix)
+        journals
+        (shard_exists store ("map." ^ suffix));
+      Alcotest.(check bool)
+        (algorithm ^ ": serve shard job." ^ id ^ "." ^ suffix)
+        journals
+        (shard_exists (Store.open_ ~dir) (Printf.sprintf "job.%s.%s" id suffix)))
+    algorithms;
+  Alcotest.(check (list string)) "journaled set"
+    [ "sa"; "local"; "greedy+local"; "portfolio"; "decompose" ]
+    Run.journaled_algorithms
+
+(* A shard journaled by an earlier release (CLI `map --builtin fft8
+   --noc 3x3 --algorithm sa --seed 9 --checkpoint-dir`, verbatim) still
+   matches the fingerprint and replays instead of re-running. *)
+let recorded_map_sa_shard =
+  {|{"crc":"65ff8545","data":{"magic":"nocmap-journal","version":1,"meta":{"algorithm":"sa","objective":"cdcm","rng":"0x826c6abf7fdd5ad7","tiles":9,"cores":6,"config":{"initial_temperature":"auto","cooling":"0x1.e666666666666p-1","moves_per_temperature":90,"patience":12,"max_evaluations":200000,"prune":null},"initial":null}}}
+{"crc":"914a6569","data":{"type":"done","value":{"placement":[4,2,1,5,3,0],"cost":"0x1.f66ece2bec1cfp-32","evaluations":1727}}}
+|}
+
+let test_run_replays_recorded_shard () =
+  let store = Store.open_ ~dir:(temp_dir ()) in
+  write_file (Store.shard_path store ~key:"map.sa") recorded_map_sa_shard;
+  let spec =
+    parse_spec
+      {|{"id":"map","app":{"builtin":"fft8"},"noc":"3x3","algorithm":"sa","seed":9}|}
+  in
+  let replayed = Metrics.counter "persist.replayed_results" in
+  Metrics.with_enabled true (fun () ->
+      let before = Metrics.counter_value replayed in
+      match
+        Run.execute
+          ~journal:{ Run.store; prefix = "map"; every = Nocmap_mapping.Search_persist.default_every }
+          ~stop:(fun () -> false) ~cache:Run.Private spec
+      with
+      | Error e -> Alcotest.fail e
+      | Ok o ->
+        Alcotest.(check int) "replayed" (before + 1) (Metrics.counter_value replayed);
+        Alcotest.(check (array int)) "recorded placement" [| 4; 2; 1; 5; 3; 0 |]
+          o.Run.result.Nocmap_mapping.Objective.placement;
+        Alcotest.(check int) "recorded evaluations" 1727
+          o.Run.result.Nocmap_mapping.Objective.evaluations)
+
 (* --- spool --- *)
 
 let make_spool dir =
   match Spool.create ~dir with
   | Ok s -> s
   | Error msg -> Alcotest.fail msg
-
-let write_file path text =
-  let oc = open_out_bin path in
-  output_string oc text;
-  close_out oc
 
 let test_spool_ingest () =
   let dir = temp_dir () in
@@ -685,6 +790,10 @@ let suite =
       Alcotest.test_case "engine rejects a foreign journal" `Quick
         test_engine_rejects_foreign_journal;
       Alcotest.test_case "serve metrics registered" `Quick test_serve_metrics_registered;
+      Alcotest.test_case "run: CLI, journaled and served runs agree" `Quick
+        test_run_parity;
+      Alcotest.test_case "run: a recorded shard replays" `Quick
+        test_run_replays_recorded_shard;
       Alcotest.test_case "spool ingest" `Quick test_spool_ingest;
       Alcotest.test_case "spool backpressure defers" `Quick test_spool_backpressure;
       Alcotest.test_case "spool reply finality" `Quick test_spool_replies;
