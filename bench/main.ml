@@ -789,7 +789,8 @@ let bench_json () =
     Nocmap_persist.Store.open_ ~dir:path
   in
   let persisted_sa ?(every = Mapping.Search_persist.default_every) ?stop store =
-    Mapping.Search_persist.annealing ~journal:(store, "bench-sa") ~every
+    Mapping.Search_persist.annealing
+      ~journal:{ Mapping.Search_persist.store; key = "bench-sa"; every }
       ~rng:(Rng.create ~seed:(seed + 37))
       ~config:sa_config ~tiles ~objective:(plain_objective ()) ?stop ~cores ()
   in

@@ -207,7 +207,7 @@ let manifest_magic = "nocmap-run"
 (* Opens the checkpoint store and records what run owns it; re-running
    (or resuming) over the same directory must present the same command
    line, or the shards would silently mix two different experiments. *)
-let setup_persist ~command dir every =
+let setup_journal ~command dir every =
   match dir with
   | None -> None
   | Some dir ->
@@ -240,7 +240,7 @@ let setup_persist ~command dir every =
                 (String.concat " " recorded)
                 dir)));
     Store.write_manifest store manifest;
-    Some (Nocmap.Experiment.persist ~scope:command ~every store)
+    Some { Mapping.Search_persist.store; key = command; every }
 
 (* Printed when an interrupted run left resumable journals behind. *)
 let resume_hint dir =
@@ -250,24 +250,6 @@ let resume_hint dir =
       (Printf.sprintf
          "nocmap: checkpoint flushed - continue with `nocmap resume %s`" dir)
   | Some _ | None -> ()
-
-(* Symmetry-canonicalized evaluation caching (on by default; results
-   are bit-identical either way, only CPU time changes). *)
-let cache_arg =
-  Arg.(
-    value
-    & vflag true
-        [
-          ( true,
-            info [ "cache" ]
-              ~doc:
-                "Memoize mapping evaluations behind the mesh-symmetry \
-                 canonical form (default).  Never changes results." );
-          ( false,
-            info [ "no-cache" ]
-              ~doc:"Disable the evaluation cache (and, for $(b,es), the \
-                    symmetry-reduced enumeration)." );
-        ])
 
 (* --- observability plumbing --- *)
 
@@ -481,8 +463,8 @@ let map_cmd =
              search.  Requires --model cdcm.")
   in
   let run mesh seed flit_bits tech_name routing app builtin model algorithm
-      strategies_spec refiner_spec jobs save metrics convergence_path use_cache
-      incremental checkpoint_dir checkpoint_every =
+      strategies_spec refiner_spec jobs save metrics convergence_path incremental
+      checkpoint_dir checkpoint_every =
     let model = or_die (Serve.Job_spec.model_of_string model) in
     if incremental && model <> Serve.Job_spec.Cdcm then
       or_die (Error "--incremental requires --model cdcm");
@@ -525,24 +507,19 @@ let map_cmd =
             %S runs without checkpoints"
            (String.concat ", " Serve.Run.journaled_algorithms)
            name);
-    let journal =
-      setup_persist ~command:"map" checkpoint_dir checkpoint_every
-      |> Option.map (fun { Nocmap.Experiment.store; scope; every } ->
-             { Serve.Run.store; prefix = scope; every })
-    in
+    let journal = setup_journal ~command:"map" checkpoint_dir checkpoint_every in
     with_metrics metrics @@ fun () ->
     let convergence =
       Option.map
         (fun _ -> Obs.Series.create ~x_label:"evaluations" ~y_label:"best_cost" ())
         convergence_path
     in
-    let cache = if use_cache then Serve.Run.Private else Serve.Run.No_cache in
     let jobs = if Serve.Run.parallel algorithm then resolve_jobs jobs else 1 in
     let o =
       or_die
         (with_jobs jobs (fun pool ->
              Serve.Run.execute ?journal ?pool ?convergence ~stop:stop_requested
-               ~cache spec))
+               ~cache:Serve.Run.Private spec))
     in
     let cdcg = o.Serve.Run.cdcg and result = o.Serve.Run.result in
     (match (convergence_path, convergence) with
@@ -638,8 +615,8 @@ let map_cmd =
     Term.(
       const run $ mesh_arg $ seed_arg $ flit_arg $ tech_arg $ routing_arg $ app_arg
       $ builtin_arg $ model $ algorithm $ strategies_arg $ refiner_arg
-      $ jobs_arg $ save $ metrics_arg $ convergence_arg $ cache_arg
-      $ incremental_arg $ checkpoint_dir_arg $ checkpoint_every_arg)
+      $ jobs_arg $ save $ metrics_arg $ convergence_arg $ incremental_arg
+      $ checkpoint_dir_arg $ checkpoint_every_arg)
 
 (* --- eval --- *)
 
@@ -832,20 +809,17 @@ let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Use the small search budget.")
 
 let table2_cmd =
-  let run seed quick jobs metrics use_cache checkpoint_dir checkpoint_every =
+  let run seed quick jobs metrics checkpoint_dir checkpoint_every =
     let config =
       if quick then Nocmap.Experiment.quick_config else Nocmap.Experiment.default_config
     in
-    let config = { config with Nocmap.Experiment.cache = use_cache } in
     install_stop_signals ?checkpoint_dir ();
-    let persist =
-      setup_persist ~command:"table2" checkpoint_dir checkpoint_every
-    in
+    let journal = setup_journal ~command:"table2" checkpoint_dir checkpoint_every in
     with_metrics metrics @@ fun () ->
     let output =
       with_jobs (resolve_jobs jobs) (fun pool ->
           Nocmap.Table2.run_and_render ~config ~progress:prerr_endline ?pool
-            ~stop:stop_requested ?persist ~seed ())
+            ~stop:stop_requested ?journal ~seed ())
     in
     if stop_requested () then
       prerr_endline "nocmap: table reflects best-so-far search results";
@@ -855,8 +829,8 @@ let table2_cmd =
   Cmd.v
     (Cmd.info "table2" ~doc:"Regenerate Table 2 (ETR / ECS comparison)")
     Term.(
-      const run $ seed_arg $ quick_arg $ jobs_arg $ metrics_arg $ cache_arg
-      $ checkpoint_dir_arg $ checkpoint_every_arg)
+      const run $ seed_arg $ quick_arg $ jobs_arg $ metrics_arg $ checkpoint_dir_arg
+      $ checkpoint_every_arg)
 
 (* --- faults --- *)
 
@@ -878,32 +852,26 @@ let faults_cmd =
       & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the per-scenario results as CSV.")
   in
   let run mesh seed tech_name app builtin quick jobs multi_k multi_count csv metrics
-      use_cache checkpoint_dir checkpoint_every =
+      checkpoint_dir checkpoint_every =
     let tech = or_die (load_tech tech_name) in
     let cdcg = or_die (load_app ~mesh ~path:app ~builtin ()) in
     let config =
       {
         Nocmap.Fault_campaign.default_config with
         Nocmap.Fault_campaign.experiment =
-          {
-            (if quick then Nocmap.Experiment.quick_config
-             else Nocmap.Experiment.default_config)
-            with
-            Nocmap.Experiment.cache = use_cache;
-          };
+          (if quick then Nocmap.Experiment.quick_config
+           else Nocmap.Experiment.default_config);
         tech;
         multi_fault_k = multi_k;
         multi_fault_count = multi_count;
       }
     in
     install_stop_signals ?checkpoint_dir ();
-    let persist =
-      setup_persist ~command:"faults" checkpoint_dir checkpoint_every
-    in
+    let journal = setup_journal ~command:"faults" checkpoint_dir checkpoint_every in
     with_metrics metrics @@ fun () ->
     let campaign =
       with_jobs (resolve_jobs jobs) (fun pool ->
-          Nocmap.Fault_campaign.run ~config ?pool ~stop:stop_requested ?persist
+          Nocmap.Fault_campaign.run ~config ?pool ~stop:stop_requested ?journal
             ~mesh ~seed cdcg)
     in
     if stop_requested () then
@@ -924,7 +892,7 @@ let faults_cmd =
     Term.(
       const run $ mesh_arg $ seed_arg $ tech_arg $ app_arg $ builtin_arg
       $ quick_arg $ jobs_arg $ multi_k $ multi_count $ csv $ metrics_arg
-      $ cache_arg $ checkpoint_dir_arg $ checkpoint_every_arg)
+      $ checkpoint_dir_arg $ checkpoint_every_arg)
 
 (* --- profile --- *)
 
@@ -943,14 +911,13 @@ let profile_cmd =
             "Write the optimized CDCM mapping's per-link busy-cycle heatmap \
              as CSV (from a metered re-simulation).")
   in
-  let run mesh seed tech_name app builtin quick jobs format heatmap use_cache =
+  let run mesh seed tech_name app builtin quick jobs format heatmap =
     let tech = or_die (load_tech tech_name) in
     let cdcg = or_die (load_app ~mesh ~path:app ~builtin ()) in
     let format = or_die (Obs.Sink.format_of_string format) in
     let config =
       if quick then Nocmap.Experiment.quick_config else Nocmap.Experiment.default_config
     in
-    let config = { config with Nocmap.Experiment.cache = use_cache } in
     install_stop_signals ();
     Obs.Metrics.set_enabled true;
     let pair =
@@ -995,7 +962,7 @@ let profile_cmd =
           print the observability report")
     Term.(
       const run $ mesh_arg $ seed_arg $ tech_arg $ app_arg $ builtin_arg $ quick_arg
-      $ jobs_arg $ format_arg $ heatmap_arg $ cache_arg)
+      $ jobs_arg $ format_arg $ heatmap_arg)
 
 let cputime_cmd =
   let run seed = print_string (Nocmap.Cpu_time.render (Nocmap.Cpu_time.over_suite ~seed ())) in

@@ -20,7 +20,6 @@ type config = {
   params : Noc_params.t;
   tech_low : Technology.t;
   tech_high : Technology.t;
-  cache : bool;
 }
 
 let default_config =
@@ -30,25 +29,13 @@ let default_config =
     params = Noc_params.paper_example;
     tech_low = Technology.t035;
     tech_high = Technology.t007;
-    cache = true;
   }
 
 let quick_config = { default_config with budget = Quick; restarts = 1 }
 
-type persist = {
-  store : Nocmap_persist.Store.t;
-  scope : string;
-  every : int;
-}
-
-let persist ?(scope = "run") ?(every = Mapping.Search_persist.default_every)
-    store =
-  { store; scope; every }
-
 (* Scopes nest with dots; the final shard key names one search leg,
    e.g. "t2-03-4x4-app2.cdcm-0.07u.leg1". *)
-let persist_sub p name =
-  Option.map (fun p -> { p with scope = p.scope ^ "." ^ name }) p
+let sub journal name = Option.map (fun j -> Mapping.Search_persist.sub j name) journal
 
 type outcome = {
   app : string;
@@ -110,7 +97,7 @@ let reduction = Nocmap_util.Stats.reduction_percent
    [?pool] when given; the RNG substreams are split in restart order
    before any task is dispatched, so the pooled run is bit-identical to
    the sequential one. *)
-let multi_start ?(budget_scale = 1) ?warm_start ?pool ?stop ?persist ~rng
+let multi_start ?(budget_scale = 1) ?warm_start ?pool ?stop ?journal ~rng
     ~config ~tiles ~cores make_objective =
   let sa = sa_config config ~tiles in
   let sa =
@@ -135,9 +122,7 @@ let multi_start ?(budget_scale = 1) ?warm_start ?pool ?stop ?persist ~rng
     let initial = if i = restarts - 1 then warm_start else None in
     let objective = make_objective () in
     Mapping.Search_persist.annealing
-      ?journal:
-        (Option.map (fun p -> (p.store, Printf.sprintf "%s.leg%d" p.scope i)) persist)
-      ?every:(Option.map (fun p -> p.every) persist)
+      ?journal:(sub journal (Printf.sprintf "leg%d" i))
       ~rng:rngs.(i) ~config:sa ~tiles ~objective ?initial ?stop ~cores ()
   in
   let results = Domain_pool.map ?pool leg (Array.init restarts Fun.id) in
@@ -161,19 +146,17 @@ type mapped_pair = {
    group of its CRG.  The cache is built inside the factory so every
    restart (and thus every pool worker) owns a private one — caching is
    a per-domain concern exactly like the simulation arena. *)
-let cached_factory config ~symmetry ~cores make_objective () =
+let cached_factory ~symmetry ~cores make_objective () =
   let objective = make_objective () in
-  if not config.cache then objective
-  else
-    let cache =
-      Mapping.Eval_cache.create ~symmetry ~cores
-        ~discriminator:objective.Mapping.Objective.name ()
-    in
-    Mapping.Objective.with_cache cache objective
+  let cache =
+    Mapping.Eval_cache.create ~symmetry ~cores
+      ~discriminator:objective.Mapping.Objective.name ()
+  in
+  Mapping.Objective.with_cache cache objective
 
 (* The CWM and CDCM winners at one technology point, searched on the
    fault-free CRG — the mappings a fault campaign then stresses. *)
-let optimize_pair ?pool ?stop ?persist ~rng ~config ~mesh ~tech cdcg =
+let optimize_pair ?pool ?stop ?journal ~rng ~config ~mesh ~tech cdcg =
   let crg = Crg.create mesh in
   let tiles = Mesh.tile_count mesh in
   let cores = Cdcg.core_count cdcg in
@@ -183,7 +166,7 @@ let optimize_pair ?pool ?stop ?persist ~rng ~config ~mesh ~tech cdcg =
   let cwm_best, _, _ =
     Timer.time "cwm_search" (fun () ->
         multi_start ~budget_scale:8 ?pool ?stop
-          ?persist:(persist_sub persist "cwm") ~rng ~config ~tiles ~cores
+          ?journal:(sub journal "cwm") ~rng ~config ~tiles ~cores
           (fun () -> Mapping.Objective.cwm ~tech ~crg ~cwg))
   in
   let symmetry =
@@ -192,8 +175,8 @@ let optimize_pair ?pool ?stop ?persist ~rng ~config ~mesh ~tech cdcg =
   let cdcm_best, _, _ =
     Timer.time "cdcm_search" (fun () ->
         multi_start ~warm_start:cwm_best.Mapping.Objective.placement ?pool ?stop
-          ?persist:(persist_sub persist "cdcm") ~rng ~config ~tiles ~cores
-          (cached_factory config ~symmetry ~cores (fun () ->
+          ?journal:(sub journal "cdcm") ~rng ~config ~tiles ~cores
+          (cached_factory ~symmetry ~cores (fun () ->
                Mapping.Objective.cdcm ~tech ~params ~crg ~cdcg ())))
   in
   {
@@ -202,7 +185,7 @@ let optimize_pair ?pool ?stop ?persist ~rng ~config ~mesh ~tech cdcg =
     cdcm_placement = cdcm_best.Mapping.Objective.placement;
   }
 
-let compare_models ?pool ?stop ?persist ~rng ~config ~mesh cdcg =
+let compare_models ?pool ?stop ?journal ~rng ~config ~mesh cdcg =
   let crg = Crg.create mesh in
   let tiles = Mesh.tile_count mesh in
   let cores = Cdcg.core_count cdcg in
@@ -212,7 +195,7 @@ let compare_models ?pool ?stop ?persist ~rng ~config ~mesh cdcg =
   let cwm_best, cwm_cpu_seconds, cwm_evaluations =
     Timer.time "cwm_search" (fun () ->
         multi_start ~budget_scale:8 ?pool ?stop
-          ?persist:(persist_sub persist "cwm") ~rng ~config ~tiles ~cores
+          ?journal:(sub journal "cwm") ~rng ~config ~tiles ~cores
           (fun () -> Mapping.Objective.cwm ~tech:config.tech_low ~crg ~cwg))
   in
   let symmetry =
@@ -221,11 +204,9 @@ let compare_models ?pool ?stop ?persist ~rng ~config ~mesh cdcg =
   let cdcm_search tech =
     Timer.time "cdcm_search" (fun () ->
         multi_start ~warm_start:cwm_best.Mapping.Objective.placement ?pool ?stop
-          ?persist:
-            (persist_sub persist
-               ("cdcm-" ^ tech.Nocmap_energy.Technology.name))
+          ?journal:(sub journal ("cdcm-" ^ tech.Nocmap_energy.Technology.name))
           ~rng ~config ~tiles ~cores
-          (cached_factory config ~symmetry ~cores (fun () ->
+          (cached_factory ~symmetry ~cores (fun () ->
                Mapping.Objective.cdcm ~tech ~params ~crg ~cdcg ())))
   in
   let cdcm_low_best, cpu_low, evals_low = cdcm_search config.tech_low in

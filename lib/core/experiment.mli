@@ -23,37 +23,17 @@ type config = {
   params : Nocmap_energy.Noc_params.t;
   tech_low : Nocmap_energy.Technology.t;   (** The paper's 0.35 um column. *)
   tech_high : Nocmap_energy.Technology.t;  (** The paper's 0.07 um column. *)
-  cache : bool;
-      (** Memoize simulation-backed evaluations behind the CRG's
-          path-exact symmetry group ({!Nocmap_mapping.Eval_cache}).
-          Results are bit-identical either way; only CPU time and the
-          [cache.*] metrics change.  Each restart owns a private cache,
-          so pooled runs stay deterministic. *)
 }
+(** The CDCM legs always memoize their evaluations behind the CRG's
+    path-exact symmetry group ({!Nocmap_mapping.Eval_cache}); the cache
+    never changes a result, and each restart owns a private one, so
+    pooled runs stay deterministic. *)
 
 val default_config : config
 (** [Standard] budget, 2 restarts, the paper's NoC timing parameters
-    (tr=2, tl=1, 1-bit flits), 0.35 um / 0.07 um, caching on. *)
+    (tr=2, tl=1, 1-bit flits), 0.35 um / 0.07 um. *)
 
 val quick_config : config
-
-type persist = {
-  store : Nocmap_persist.Store.t;  (** Checkpoint directory. *)
-  scope : string;  (** Key prefix for this run's journal shards. *)
-  every : int;     (** Checkpoint cadence in evaluations. *)
-}
-(** Crash-safe checkpointing for the search legs.  When passed to the
-    drivers below, every annealing restart journals its state into one
-    shard of [store] ({!Nocmap_mapping.Search_persist}) and finished
-    legs record their result.  Re-running the same driver over the same
-    store after a crash replays finished legs, resumes the interrupted
-    one from its last checkpoint, and produces results bit-identical to
-    an uninterrupted run. *)
-
-val persist :
-  ?scope:string -> ?every:int -> Nocmap_persist.Store.t -> persist
-(** [scope] defaults to ["run"]; [every] to
-    {!Nocmap_mapping.Search_persist.default_every}. *)
 
 type outcome = {
   app : string;
@@ -76,7 +56,7 @@ type outcome = {
 val compare_models :
   ?pool:Nocmap_util.Domain_pool.t ->
   ?stop:(unit -> bool) ->
-  ?persist:persist ->
+  ?journal:Nocmap_mapping.Search_persist.journal ->
   rng:Nocmap_util.Rng.t ->
   config:config ->
   mesh:Nocmap_noc.Mesh.t ->
@@ -87,8 +67,12 @@ val compare_models :
     [rng] (each restart gets a pre-split substream and its own
     simulation scratch).  [?stop] is polled inside every annealing
     descent; when it flips to [true] each leg returns its best-so-far.
-    [?persist] checkpoints and resumes the search legs; reported CPU
-    seconds then cover only the work actually redone.
+    [?journal] (its key is the run's scope) journals every annealing
+    restart into its own shard [<scope>.<leg>.leg<i>]; re-running over
+    the same store after a crash replays finished legs, resumes the
+    interrupted one from its last checkpoint, and reproduces the
+    uninterrupted results bit for bit.  Reported CPU seconds then cover
+    only the work actually redone.
     @raise Invalid_argument when the application has more cores than the
     mesh has tiles. *)
 
@@ -101,7 +85,7 @@ type mapped_pair = {
 val optimize_pair :
   ?pool:Nocmap_util.Domain_pool.t ->
   ?stop:(unit -> bool) ->
-  ?persist:persist ->
+  ?journal:Nocmap_mapping.Search_persist.journal ->
   rng:Nocmap_util.Rng.t ->
   config:config ->
   mesh:Nocmap_noc.Mesh.t ->

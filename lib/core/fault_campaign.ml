@@ -133,7 +133,7 @@ let report ~label ~(baseline : Mapping.Cost_cdcm.evaluation) scenarios select =
            evals);
   }
 
-let run ?(config = default_config) ?pool ?stop ?persist ~mesh ~seed cdcg =
+let run ?(config = default_config) ?pool ?stop ?journal ~mesh ~seed cdcg =
   let rng = Rng.create ~seed in
   (* Pre-split the substreams in a fixed order so the search and the
      scenario sampling never race on the parent generator. *)
@@ -142,11 +142,7 @@ let run ?(config = default_config) ?pool ?stop ?persist ~mesh ~seed cdcg =
   let pair =
     Timer.time "faults.optimize" (fun () ->
         Experiment.optimize_pair ?pool ?stop
-          ?persist:
-            (Option.map
-               (fun (p : Experiment.persist) ->
-                 { p with Experiment.scope = p.Experiment.scope ^ ".optimize" })
-               persist)
+          ?journal:(Option.map (fun j -> Mapping.Search_persist.sub j "optimize") journal)
           ~rng:search_rng ~config:config.experiment ~mesh ~tech:config.tech
           cdcg)
   in
@@ -195,10 +191,10 @@ let run ?(config = default_config) ?pool ?stop ?persist ~mesh ~seed cdcg =
      so nothing is memoized (the meta records the placements precisely so
      a stale shard would be rejected loudly rather than replayed). *)
   let evaluate_scenario i =
-    match persist with
+    match journal with
     | None -> compute_scenario i
     | Some _ when stop_now () -> compute_scenario i
-    | Some (p : Experiment.persist) ->
+    | Some j ->
       let scenario = scenario_arr.(i) in
       let meta =
         Json.Assoc
@@ -215,9 +211,11 @@ let run ?(config = default_config) ?pool ?stop ?persist ~mesh ~seed cdcg =
                 pair.Experiment.cdcm_placement );
           ]
       in
+      let { Mapping.Search_persist.store; key; _ } =
+        Mapping.Search_persist.sub j (Printf.sprintf "scn%03d" i)
+      in
       let payload =
-        Store.memoize p.Experiment.store
-          ~key:(Printf.sprintf "%s.scn%03d" p.Experiment.scope i)
+        Store.memoize store ~key
           ~meta
           (fun () -> scenario_payload_json (compute_scenario i))
       in

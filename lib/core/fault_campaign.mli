@@ -62,7 +62,7 @@ val run :
   ?config:config ->
   ?pool:Nocmap_util.Domain_pool.t ->
   ?stop:(unit -> bool) ->
-  ?persist:Experiment.persist ->
+  ?journal:Nocmap_mapping.Search_persist.journal ->
   mesh:Nocmap_noc.Mesh.t ->
   seed:int ->
   Nocmap_model.Cdcg.t ->
@@ -71,7 +71,7 @@ val run :
     with and without [?pool].  [?stop] interrupts the mapping searches
     (they return best-so-far); the scenario sweep itself always runs to
     completion so the reported spreads are over the full scenario set.
-    [?persist] checkpoints the mapping searches and memoizes each
+    [?journal] checkpoints the mapping searches and memoizes each
     scenario evaluation in its own shard, so a killed campaign resumes
     with only the unfinished work redone and a bit-identical report.
     @raise Invalid_argument when the application has more cores than the

@@ -31,7 +31,7 @@ let method_for mesh =
   if small then "ES and SA" else "SA only"
 
 let run ?(config = Experiment.default_config) ?(progress = fun _ -> ()) ?instances
-    ?pool ?stop ?persist ~seed () =
+    ?pool ?stop ?journal ~seed () =
   let rng = Rng.create ~seed in
   let instances =
     match instances with
@@ -65,21 +65,17 @@ let run ?(config = Experiment.default_config) ?(progress = fun _ -> ()) ?instanc
     let mesh, cdcg = arr.(i) in
     (* One scope per suite instance: shard keys are stable across runs
        because the suite order is a pure function of the seed. *)
-    let persist =
+    let journal =
       Option.map
-        (fun (p : Experiment.persist) ->
-          {
-            p with
-            Experiment.scope =
-              Printf.sprintf "%s.t2-%02d-%s-%s" p.Experiment.scope i
-                (Mesh.to_string mesh) cdcg.Cdcg.name;
-          })
-        persist
+        (fun j ->
+          Nocmap_mapping.Search_persist.sub j
+            (Printf.sprintf "t2-%02d-%s-%s" i (Mesh.to_string mesh) cdcg.Cdcg.name))
+        journal
     in
     Timer.time
       (Printf.sprintf "%s %s" (Mesh.to_string mesh) cdcg.Cdcg.name)
       (fun () ->
-        Experiment.compare_models ?pool ?stop ?persist ~rng:rngs.(i) ~config
+        Experiment.compare_models ?pool ?stop ?journal ~rng:rngs.(i) ~config
           ~mesh cdcg)
   in
   let indices = Array.init n Fun.id in
@@ -169,5 +165,5 @@ let render t =
     ];
   Tablefmt.render table
 
-let run_and_render ?config ?progress ?pool ?stop ?persist ~seed () =
-  render (run ?config ?progress ?pool ?stop ?persist ~seed ())
+let run_and_render ?config ?progress ?pool ?stop ?journal ~seed () =
+  render (run ?config ?progress ?pool ?stop ?journal ~seed ())

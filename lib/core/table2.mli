@@ -26,7 +26,7 @@ val run :
   ?instances:(Nocmap_noc.Mesh.t * Nocmap_model.Cdcg.t) list ->
   ?pool:Nocmap_util.Domain_pool.t ->
   ?stop:(unit -> bool) ->
-  ?persist:Experiment.persist ->
+  ?journal:Nocmap_mapping.Search_persist.journal ->
   seed:int ->
   unit ->
   t
@@ -39,7 +39,7 @@ val run :
     progress lines are then emitted in suite order after the batch
     finishes rather than streamed.  [?stop] is polled inside every
     annealing descent so a signal handler can wind the whole table down
-    to best-so-far results.  [?persist] checkpoints every search leg
+    to best-so-far results.  [?journal] checkpoints every search leg
     into one store scope per suite instance: rerunning over the same
     store resumes where a killed run stopped and reproduces the
     uninterrupted table bit-identically. *)
@@ -51,7 +51,7 @@ val run_and_render :
   ?progress:(string -> unit) ->
   ?pool:Nocmap_util.Domain_pool.t ->
   ?stop:(unit -> bool) ->
-  ?persist:Experiment.persist ->
+  ?journal:Nocmap_mapping.Search_persist.journal ->
   seed:int ->
   unit ->
   string

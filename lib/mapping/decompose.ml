@@ -305,14 +305,8 @@ let seed_placement ~cwg regions =
     regions;
   placement
 
-type region_state =
-  | Sa_running of Annealing.checkpoint
-  | Tabu_running of Tabu.checkpoint
-  | Local_running of Local_search.checkpoint
-  | Region_done of Objective.search_result
-
 type checkpoint = {
-  region_states : region_state list;
+  region_states : Leg.state list;
   seed : Objective.search_result;
   base : Objective.search_result option;
   polish : Local_search.checkpoint option;
@@ -333,40 +327,6 @@ type report = {
   seed_cost : float;
   polish_evaluations : int;
 }
-
-let state_best_cost = function
-  | Sa_running c -> c.Annealing.best_cost
-  | Tabu_running c -> c.Tabu.best_cost
-  | Local_running c -> c.Local_search.current_cost
-  | Region_done r -> r.Objective.cost
-
-let state_evaluations = function
-  | Sa_running c -> c.Annealing.evaluations
-  | Tabu_running c -> c.Tabu.evaluations
-  | Local_running c -> c.Local_search.evaluations
-  | Region_done r -> r.Objective.evaluations
-
-let state_rng_state = function
-  | Sa_running c -> c.Annealing.rng_state
-  | Tabu_running c -> c.Tabu.rng_state
-  | Local_running _ | Region_done _ -> 0L
-
-(* A cost-call counting view of an objective (same values, same bound
-   verdicts): lets the driver meter a slice's budget from outside. *)
-let counted n (objective : Objective.t) =
-  {
-    objective with
-    Objective.cost_fn =
-      (fun p ->
-        incr n;
-        objective.Objective.cost_fn p);
-    bound_fn =
-      Option.map
-        (fun bound_fn ~cutoff p ->
-          incr n;
-          bound_fn ~cutoff p)
-        objective.Objective.bound_fn;
-  }
 
 (* View of the global objective restricted to one region: a sub
    placement maps the region's cores over the region's tiles; every
@@ -428,7 +388,7 @@ let search ~rng ~config ~crg ~cwg ~objective_for ?region_objective_for ?pool
         !t)
       reg.cores
   in
-  let states : region_state option array = Array.make nr None in
+  let states : Leg.state option array = Array.make nr None in
   let region_rngs = Array.make nr rng in
   let seed_result = ref { Objective.placement = [||]; cost = infinity; evaluations = 0 } in
   let base = ref None in
@@ -440,7 +400,7 @@ let search ~rng ~config ~crg ~cwg ~objective_for ?region_objective_for ?pool
     List.iteri
       (fun i st ->
         states.(i) <- Some st;
-        region_rngs.(i) <- Rng.of_state (state_rng_state st))
+        region_rngs.(i) <- Rng.of_state (Leg.rng_state st))
       c.region_states;
     seed_result := c.seed;
     base := c.base;
@@ -458,7 +418,7 @@ let search ~rng ~config ~crg ~cwg ~objective_for ?region_objective_for ?pool
         if Array.length reg.tiles < 2 then
           states.(i) <-
             Some
-              (Region_done
+              (Leg.Done
                  { Objective.placement = sub_initial reg; cost; evaluations = 0 }))
       regions);
   let total_evaluations () =
@@ -472,7 +432,7 @@ let search ~rng ~config ~crg ~cwg ~objective_for ?region_objective_for ?pool
     | None ->
       Array.fold_left
         (fun acc st ->
-          match st with Some st -> acc + state_evaluations st | None -> acc)
+          match st with Some st -> acc + Leg.evaluations st | None -> acc)
         !seed_result.Objective.evaluations states
   in
   let snapshot () : checkpoint =
@@ -500,9 +460,7 @@ let search ~rng ~config ~crg ~cwg ~objective_for ?region_objective_for ?pool
     | Some (every, _) when total_evaluations () - !last_flush >= every -> flush ()
     | Some _ | None -> ()
   in
-  let finished i =
-    match states.(i) with Some (Region_done _) -> true | Some _ | None -> false
-  in
+  let finished i = match states.(i) with Some st -> Leg.is_done st | None -> false in
   let all_done () =
     let rec go i = i >= nr || (finished i && go (i + 1)) in
     go 0
@@ -516,64 +474,20 @@ let search ~rng ~config ~crg ~cwg ~objective_for ?region_objective_for ?pool
     Array.init nr (fun i ->
         lazy (region_objective ~seed:seed_map regions.(i) (region_base regions.(i))))
   in
+  let leg =
+    match config.refiner with
+    | Sa -> Leg.Sa config.sa
+    | Tabu -> Leg.Tabu config.tabu
+    | Local -> Leg.Local config.local_evaluations
+  in
   (* One slice of region [i]: at most [config.slice] further cost calls
-     of its refiner, interrupted through the sticky stop contract so the
-     flushed native checkpoint resumes bit-identically.  Runs on a pool
-     domain; every mutable input (rng, objective, state) is owned by
-     this region alone. *)
+     of its refiner.  Runs on a pool domain; every mutable input (rng,
+     objective, state) is owned by this region alone. *)
   let slice i =
     let reg = regions.(i) in
-    let objective = Lazy.force region_objectives.(i) in
-    let n = ref 0 in
-    let budgeted = counted n objective in
-    let slice_stop () = stop () || !n >= config.slice in
-    let t = Array.length reg.tiles and k = Array.length reg.cores in
-    match config.refiner with
-    | Sa ->
-      let resume =
-        match states.(i) with
-        | Some (Sa_running c) -> Some c
-        | None -> None
-        | Some _ -> assert false
-      in
-      let captured = ref None in
-      let r =
-        Annealing.search ~rng:region_rngs.(i) ~config:config.sa ~tiles:t
-          ~objective:budgeted ~initial:(sub_initial reg) ~stop:slice_stop
-          ~checkpoint:(max_int, fun c -> captured := Some c)
-          ?resume ~cores:k ()
-      in
-      (match !captured with Some c -> Sa_running c | None -> Region_done r)
-    | Tabu ->
-      let resume =
-        match states.(i) with
-        | Some (Tabu_running c) -> Some c
-        | None -> None
-        | Some _ -> assert false
-      in
-      let captured = ref None in
-      let r =
-        Tabu.search ~rng:region_rngs.(i) ~config:config.tabu ~tiles:t
-          ~objective:budgeted ~initial:(sub_initial reg) ~stop:slice_stop
-          ~checkpoint:(max_int, fun c -> captured := Some c)
-          ?resume ~cores:k ()
-      in
-      (match !captured with Some c -> Tabu_running c | None -> Region_done r)
-    | Local ->
-      let resume =
-        match states.(i) with
-        | Some (Local_running c) -> Some c
-        | None -> None
-        | Some _ -> assert false
-      in
-      let captured = ref None in
-      let r =
-        Local_search.search ~objective:budgeted ~tiles:t ~initial:(sub_initial reg)
-          ~max_evaluations:config.local_evaluations ~stop:slice_stop
-          ~checkpoint:(max_int, fun c -> captured := Some c)
-          ?resume ()
-      in
-      (match !captured with Some c -> Local_running c | None -> Region_done r)
+    Leg.slice leg ~rng:region_rngs.(i) ~tiles:(Array.length reg.tiles)
+      ~cores:(Array.length reg.cores) ~objective:(Lazy.force region_objectives.(i))
+      ~initial:(sub_initial reg) ~stop ~budget:config.slice states.(i)
   in
   (* Phase 1: refine the regions, [slice] evaluations per round.  The
      regions never read each other's progress, so any slicing of a
@@ -598,7 +512,7 @@ let search ~rng ~config ~crg ~cwg ~objective_for ?region_objective_for ?pool
     Array.iteri
       (fun i (reg : region) ->
         match states.(i) with
-        | Some (Region_done r) ->
+        | Some (Leg.Done r) ->
           Array.iteri
             (fun k t -> composed.(reg.cores.(k)) <- reg.tiles.(t))
             r.Objective.placement
@@ -668,7 +582,7 @@ let search ~rng ~config ~crg ~cwg ~objective_for ?region_objective_for ?pool
          (fun i (reg : region) ->
            let cost, evaluations =
              match states.(i) with
-             | Some st -> (state_best_cost st, state_evaluations st)
+             | Some st -> (Leg.best_cost st, Leg.evaluations st)
              | None -> (infinity, 0)
            in
            {

@@ -99,16 +99,12 @@ val cut_bits : cwg:Nocmap_model.Cwg.t -> region list -> int
 (** Communication volume (bits) crossing region boundaries — the
     quantity the recursive bipartition minimizes. *)
 
-type region_state =
-  | Sa_running of Annealing.checkpoint
-  | Tabu_running of Tabu.checkpoint
-  | Local_running of Local_search.checkpoint
-  | Region_done of Objective.search_result
-      (** The refiner finished on its own; the result lives in the
-          region's local tile indices. *)
-
 type checkpoint = {
-  region_states : region_state list;  (** In region order. *)
+  region_states : Leg.state list;
+      (** In region order: each refiner's native live state
+          ({!Leg.Sa_running}, {!Leg.Tabu_running} or
+          {!Leg.Local_running}) or {!Leg.Done}, whose result lives in
+          the region's local tile indices. *)
   seed : Objective.search_result;
       (** The constructive seed placement and its cost. *)
   base : Objective.search_result option;

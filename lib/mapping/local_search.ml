@@ -108,22 +108,27 @@ let search ~objective ~tiles ~initial ?(max_evaluations = 100_000) ?convergence
   in
   (* Checkpoints land on pass boundaries only: the state between passes
      is exactly (current, cost, evals), so a resumed descent replays the
-     next pass move-for-move. *)
+     next pass move-for-move.  Only a stop seen at a pass boundary cuts
+     the descent short; one that fires after the last pass finished (no
+     improving move, or the budget spent) leaves a finished descent,
+     which must not be snapshotted as resumable. *)
+  let stopped = ref false in
   let rec descend () =
-    if !evals < max_evaluations && not (stop ()) then begin
-      match best_move () with
-      | None -> ()
-      | Some (placement, cost) ->
-        current := placement;
-        current_cost := cost;
-        record ();
-        maybe_flush ();
-        descend ()
-    end
+    if !evals < max_evaluations then
+      if stop () then stopped := true
+      else
+        match best_move () with
+        | None -> ()
+        | Some (placement, cost) ->
+          current := placement;
+          current_cost := cost;
+          record ();
+          maybe_flush ();
+          descend ()
   in
   descend ();
   (match checkpoint with
-  | Some (_, hook) when stop () -> hook (snapshot ())
+  | Some (_, hook) when !stopped -> hook (snapshot ())
   | Some _ | None -> ());
   if Metrics.enabled () then begin
     Metrics.incr m_runs;

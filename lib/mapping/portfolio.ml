@@ -120,17 +120,18 @@ let quick_config ~tiles =
     genetic = Genetic.quick_config ~tiles;
   }
 
-type leg_state =
-  | Sa_running of Annealing.checkpoint
-  | Tabu_running of Tabu.checkpoint
-  | Genetic_running of Genetic.checkpoint
-  | Leg_done of Objective.search_result
+(* The resumable leg racing each refiner strategy. *)
+let leg_of config = function
+  | Sa -> Leg.Sa config.sa
+  | Tabu -> Leg.Tabu config.tabu
+  | Genetic -> Leg.Genetic config.genetic
+  | Spiral | Greedy -> invalid_arg "Portfolio: a seed strategy does not race"
 
 type checkpoint = {
   round : int;
   in_round : bool;
   seeds : (strategy * Objective.search_result) list;
-  legs : (strategy * leg_state) list;
+  legs : (strategy * Leg.state) list;
   best : Placement.t;
   best_cost : float;
   best_by : strategy;
@@ -157,48 +158,6 @@ type report = {
   tightenings : int;
   per_strategy : strategy_report list;
 }
-
-let leg_best_cost = function
-  | Sa_running c -> c.Annealing.best_cost
-  | Tabu_running c -> c.Tabu.best_cost
-  | Genetic_running c -> c.Genetic.best_cost
-  | Leg_done r -> r.Objective.cost
-
-let leg_best = function
-  | Sa_running c -> c.Annealing.best
-  | Tabu_running c -> c.Tabu.best
-  | Genetic_running c -> c.Genetic.best
-  | Leg_done r -> r.Objective.placement
-
-let leg_evaluations = function
-  | Sa_running c -> c.Annealing.evaluations
-  | Tabu_running c -> c.Tabu.evaluations
-  | Genetic_running c -> c.Genetic.evaluations
-  | Leg_done r -> r.Objective.evaluations
-
-let leg_rng_state = function
-  | Sa_running c -> c.Annealing.rng_state
-  | Tabu_running c -> c.Tabu.rng_state
-  | Genetic_running c -> c.Genetic.rng_state
-  | Leg_done _ -> 0L
-
-(* A cost-call counting view of an objective: transparent to the search
-   (same values, same bound verdicts), it only lets the driver meter a
-   slice's evaluation budget from outside. *)
-let counted n (objective : Objective.t) =
-  {
-    objective with
-    Objective.cost_fn =
-      (fun p ->
-        incr n;
-        objective.Objective.cost_fn p);
-    bound_fn =
-      Option.map
-        (fun bound_fn ~cutoff p ->
-          incr n;
-          bound_fn ~cutoff p)
-        objective.Objective.bound_fn;
-  }
 
 (* The shared incumbent: racers CAS-publish their best cost as each
    slice ends (concurrently, from pool domains); the driver reads it
@@ -259,7 +218,7 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
         if i >= n_refiners || refiners.(i) <> s then
           invalid_arg "Portfolio.search: resume strategies mismatch";
         legs.(i) <- Some leg;
-        leg_rngs.(i) <- Rng.of_state (leg_rng_state leg))
+        leg_rngs.(i) <- Rng.of_state (Leg.rng_state leg))
       c.legs;
     best := Array.copy c.best;
     best_cost := c.best_cost;
@@ -272,7 +231,7 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
     List.iteri (fun i (_, start) -> round_starts.(i) <- start) c.round_starts;
     List.iter (fun (_, r) -> publish incumbent r.Objective.cost) c.seeds;
     Array.iter
-      (function Some leg -> publish incumbent (leg_best_cost leg) | None -> ())
+      (function Some leg -> publish incumbent (Leg.best_cost leg) | None -> ())
       legs
   | None ->
     seeds :=
@@ -333,7 +292,7 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
   let total_evaluations () =
     Array.fold_left
       (fun acc leg ->
-        match leg with Some leg -> acc + leg_evaluations leg | None -> acc)
+        match leg with Some leg -> acc + Leg.evaluations leg | None -> acc)
       (!seed_evaluations
       + List.fold_left
           (fun acc (_, (r : Objective.search_result)) ->
@@ -377,9 +336,7 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
       hook (snapshot ())
     | Some _ | None -> ()
   in
-  let finished i =
-    match legs.(i) with Some (Leg_done _) -> true | Some _ | None -> false
-  in
+  let finished i = match legs.(i) with Some leg -> Leg.is_done leg | None -> false in
   let all_done () =
     let rec go i = i >= n_refiners || (finished i && go (i + 1)) in
     go 0
@@ -387,66 +344,16 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
   let target_reached () =
     match target with Some t -> !best_cost <= t | None -> false
   in
-  (* One slice of strategy [i] under a fixed rival ceiling: at most
-     [config.slice] further cost calls, interrupted through the sticky
-     [stop] contract so the flushed native checkpoint resumes
-     bit-identically.  Runs on a pool domain; every mutable input
-     (rng, objective, leg state) is owned by this strategy alone. *)
+  (* One slice of strategy [i] under a fixed rival ceiling.  Runs on a
+     pool domain; every mutable input (rng, objective, leg state) is
+     owned by this strategy alone. *)
   let slice i ~budget ceiling =
-    let objective = Lazy.force objectives.(i) in
-    let n = ref 0 in
-    let budgeted = counted n objective in
-    let slice_stop () = stop () || !n >= budget in
     let next =
-      match refiners.(i) with
-      | Sa ->
-        let resume =
-          match legs.(i) with
-          | Some (Sa_running c) -> Some c
-          | None -> None
-          | Some _ -> assert false
-        in
-        let captured = ref None in
-        let r =
-          Annealing.search ~rng:leg_rngs.(i) ~config:config.sa ~tiles
-            ~objective:budgeted ?initial:warm_start ~ceiling ~stop:slice_stop
-            ~checkpoint:(max_int, fun c -> captured := Some c)
-            ?resume ~cores ()
-        in
-        (match !captured with Some c -> Sa_running c | None -> Leg_done r)
-      | Tabu ->
-        let resume =
-          match legs.(i) with
-          | Some (Tabu_running c) -> Some c
-          | None -> None
-          | Some _ -> assert false
-        in
-        let captured = ref None in
-        let r =
-          Tabu.search ~rng:leg_rngs.(i) ~config:config.tabu ~tiles
-            ~objective:budgeted ?initial:warm_start ~ceiling ~stop:slice_stop
-            ~checkpoint:(max_int, fun c -> captured := Some c)
-            ?resume ~cores ()
-        in
-        (match !captured with Some c -> Tabu_running c | None -> Leg_done r)
-      | Genetic ->
-        let resume =
-          match legs.(i) with
-          | Some (Genetic_running c) -> Some c
-          | None -> None
-          | Some _ -> assert false
-        in
-        let captured = ref None in
-        let r =
-          Genetic.search ~rng:leg_rngs.(i) ~config:config.genetic ~tiles
-            ~objective:budgeted ?initial:warm_start ~ceiling ~stop:slice_stop
-            ~checkpoint:(max_int, fun c -> captured := Some c)
-            ?resume ~cores ()
-        in
-        (match !captured with Some c -> Genetic_running c | None -> Leg_done r)
-      | Spiral | Greedy -> assert false
+      Leg.slice (leg_of config refiners.(i)) ~rng:leg_rngs.(i) ~tiles ~cores
+        ~objective:(Lazy.force objectives.(i)) ?initial:warm_start ~ceiling ~stop
+        ~budget legs.(i)
     in
-    publish incumbent (leg_best_cost next);
+    publish incumbent (Leg.best_cost next);
     next
   in
   while (not (all_done ())) && (not (stop ())) && not (target_reached ()) do
@@ -478,8 +385,8 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
               (fun j leg ->
                 match leg with
                 | Some leg when j <> i ->
-                  if leg_best_cost leg < !rival_best then
-                    rival_best := leg_best_cost leg
+                  if Leg.best_cost leg < !rival_best then
+                    rival_best := Leg.best_cost leg
                 | Some _ | None -> ())
               legs;
             if !rival_best < infinity then !rival_best *. config.ceiling_factor
@@ -494,7 +401,7 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
       Array.iter
         (fun i ->
           round_starts.(i) <-
-            (match legs.(i) with Some leg -> leg_evaluations leg | None -> 0))
+            (match legs.(i) with Some leg -> Leg.evaluations leg | None -> 0))
         active;
       in_round := true
     end;
@@ -503,7 +410,7 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
         (fun k ->
           let i = active.(k) in
           let consumed =
-            match legs.(i) with Some leg -> leg_evaluations leg | None -> 0
+            match legs.(i) with Some leg -> Leg.evaluations leg | None -> 0
           in
           let budget = max 0 (round_starts.(i) + config.slice - consumed) in
           slice i ~budget ceilings.(i))
@@ -521,9 +428,9 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
       && Array.exists
            (fun i ->
              match legs.(i) with
-             | Some (Leg_done _) -> false
              | Some leg ->
-               leg_evaluations leg < round_starts.(i) + config.slice
+               (not (Leg.is_done leg))
+               && Leg.evaluations leg < round_starts.(i) + config.slice
              | None -> assert false)
            active
     in
@@ -546,10 +453,10 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
         (fun i leg ->
           match leg with
           | Some leg ->
-            if leg_best_cost leg < !round_best then begin
-              round_best := leg_best_cost leg;
+            if Leg.best_cost leg < !round_best then begin
+              round_best := Leg.best_cost leg;
               round_holder := refiners.(i);
-              round_placement := leg_best leg
+              round_placement := Leg.best leg
             end
           | None -> ())
         legs;
@@ -594,7 +501,7 @@ let search ~rng ~config ~strategies ~tech ~crg ~cwg ~objective_for ?pool
           in
           let cost, evaluations =
             match legs.(i) with
-            | Some leg -> (leg_best_cost leg, leg_evaluations leg)
+            | Some leg -> (Leg.best_cost leg, Leg.evaluations leg)
             | None -> (infinity, 0)
           in
           { strategy = s; cost; evaluations; rounds_won })

@@ -27,9 +27,8 @@
     is computed once per race rather than once per strategy.
 
     {b Checkpointing.}  The whole race checkpoints as one record: the
-    seeds, every racer's native live state ({!Annealing.checkpoint},
-    {!Tabu.checkpoint} or {!Genetic.checkpoint}) or final result, and
-    the driver's barrier bookkeeping.  A resumed race replays the exact
+    seeds, every racer's {!Leg.state}, and the race's barrier
+    bookkeeping.  A resumed race replays the exact
     trajectory of the uninterrupted run. *)
 
 type strategy =
@@ -68,13 +67,6 @@ val default_config : tiles:int -> config
 val quick_config : tiles:int -> config
 (** A cheaper budget for tests and smoke benches. *)
 
-type leg_state =
-  | Sa_running of Annealing.checkpoint
-  | Tabu_running of Tabu.checkpoint
-  | Genetic_running of Genetic.checkpoint
-  | Leg_done of Objective.search_result
-      (** The racer finished on its own (patience or budget). *)
-
 type checkpoint = {
   round : int;         (** Completed barrier rounds. *)
   in_round : bool;
@@ -83,8 +75,10 @@ type checkpoint = {
           completes the interrupted round to the same absolute
           evaluation barrier before any barrier bookkeeping. *)
   seeds : (strategy * Objective.search_result) list;
-  legs : (strategy * leg_state) list;
-      (** Racers in the order [strategies] lists them. *)
+  legs : (strategy * Leg.state) list;
+      (** Racers in the order [strategies] lists them: each one's native
+          live state ({!Leg.Sa_running}, {!Leg.Tabu_running} or
+          {!Leg.Genetic_running}) or {!Leg.Done}. *)
   best : Placement.t;
   best_cost : float;
   best_by : strategy;

@@ -4,7 +4,9 @@ module Json = Nocmap_persist.Json
 module Journal = Nocmap_persist.Journal
 module Store = Nocmap_persist.Store
 
-type journal = Store.t * string
+type journal = { store : Store.t; key : string; every : int }
+
+let sub journal name = { journal with key = journal.key ^ "." ^ name }
 
 let default_every = 10_000
 
@@ -225,24 +227,28 @@ let portfolio_config_json (c : Portfolio.config) =
       ("genetic", genetic_config_json c.Portfolio.genetic);
     ]
 
-let leg_json (leg : Portfolio.leg_state) =
+(* One codec for every resumable leg, portfolio racer and decompose
+   region alike: the tags are disjoint across searchers. *)
+let leg_json (leg : Leg.state) =
   let tag, value =
     match leg with
-    | Portfolio.Sa_running c -> ("sa", sa_checkpoint_json c)
-    | Portfolio.Tabu_running c -> ("tabu", tabu_checkpoint_json c)
-    | Portfolio.Genetic_running c -> ("ga", genetic_checkpoint_json c)
-    | Portfolio.Leg_done r -> ("done", result_json r)
+    | Leg.Sa_running c -> ("sa", sa_checkpoint_json c)
+    | Leg.Tabu_running c -> ("tabu", tabu_checkpoint_json c)
+    | Leg.Genetic_running c -> ("ga", genetic_checkpoint_json c)
+    | Leg.Local_running c -> ("ls", ls_checkpoint_json c)
+    | Leg.Done r -> ("done", result_json r)
   in
   Json.Assoc [ ("state", Json.Str tag); ("value", value) ]
 
 let leg_of_json j =
   let value = Json.get "value" j in
   match Json.to_str (Json.get "state" j) with
-  | "sa" -> Portfolio.Sa_running (sa_checkpoint_of_json value)
-  | "tabu" -> Portfolio.Tabu_running (tabu_checkpoint_of_json value)
-  | "ga" -> Portfolio.Genetic_running (genetic_checkpoint_of_json value)
-  | "done" -> Portfolio.Leg_done (result_of_json value)
-  | tag -> failwith (Printf.sprintf "unknown portfolio leg state %S" tag)
+  | "sa" -> Leg.Sa_running (sa_checkpoint_of_json value)
+  | "tabu" -> Leg.Tabu_running (tabu_checkpoint_of_json value)
+  | "ga" -> Leg.Genetic_running (genetic_checkpoint_of_json value)
+  | "ls" -> Leg.Local_running (ls_checkpoint_of_json value)
+  | "done" -> Leg.Done (result_of_json value)
+  | tag -> failwith (Printf.sprintf "unknown search leg state %S" tag)
 
 let strategy_pairs_json value_json pairs =
   Json.List
@@ -360,7 +366,7 @@ let last_progress records =
       if record_type r = "progress" then Some (Json.get "state" r) else acc)
     None records
 
-(* Opens (or reopens) the shard of [journal = (store, key)], decides
+(* Opens (or reopens) the shard of [journal], decides
    between replay / resume / fresh start, runs the search, and records
    the outcome.  [run] gets the journal-backed checkpoint hook and the
    decoded resume state; a [done] record is only written when [stop] did
@@ -372,12 +378,12 @@ let last_progress records =
    (e.g. a warm start from an interrupted CWM leg), so journaling them
    would poison the store with state the resumed run can never
    reproduce. *)
-let run_leg ?journal ~meta ~every ~encode ~decode ~encode_result
-    ~decode_result ~stop ~run =
+let run_leg ?journal ~meta ~encode ~decode ~encode_result ~decode_result ~stop
+    ~run =
   match journal with
   | None -> run ?checkpoint:None ?resume:None ()
   | Some _ when stop () -> run ?checkpoint:None ?resume:None ()
-  | Some (store, key) ->
+  | Some { store; key; every } ->
     let meta = meta () in
     let path = Store.shard_path store ~key in
     let entry =
@@ -425,81 +431,57 @@ let run_leg ?journal ~meta ~every ~encode ~decode ~encode_result
             Journal.append_exn journal (done_record (encode_result result));
           result)
 
-let annealing ?journal ?(every = default_every) ~rng ~config ~tiles
-    ~objective ?initial ?(stop = fun () -> false) ?convergence ~cores () =
-  let meta () =
-    Json.Assoc
-      [
-        ("algorithm", Json.Str "sa");
-        ("objective", Json.Str objective.Objective.name);
-        (* The rng state on entry identifies the substream: resuming
-           with a different seed must be rejected, not blended in. *)
-        ("rng", Json.int64 (Rng.state rng));
-        ("tiles", Json.Int tiles);
-        ("cores", Json.Int cores);
-        ("config", sa_config_json config);
-        ( "initial",
-          match initial with
-          | None -> Json.Null
-          | Some p -> placement_json p );
-      ]
-  in
-  run_leg ?journal ~meta ~every ~encode:sa_checkpoint_json
-    ~decode:sa_checkpoint_of_json ~encode_result:result_json
-    ~decode_result:result_of_json ~stop
+(* The fingerprint of a single-searcher shard.  The rng state on entry
+   identifies the substream: resuming with a different seed must be
+   rejected, not blended in. *)
+let searcher_meta algorithm config ~objective ~rng ~tiles ~cores ~initial =
+  Json.Assoc
+    [
+      ("algorithm", Json.Str algorithm);
+      ("objective", Json.Str objective.Objective.name);
+      ("rng", Json.int64 (Rng.state rng));
+      ("tiles", Json.Int tiles);
+      ("cores", Json.Int cores);
+      ("config", config);
+      ("initial", match initial with None -> Json.Null | Some p -> placement_json p);
+    ]
+
+let annealing ?journal ~rng ~config ~tiles ~objective ?initial
+    ?(stop = fun () -> false) ?convergence ~cores () =
+  run_leg ?journal
+    ~meta:(fun () ->
+      searcher_meta "sa" (sa_config_json config) ~objective ~rng ~tiles ~cores ~initial)
+    ~encode:sa_checkpoint_json ~decode:sa_checkpoint_of_json
+    ~encode_result:result_json ~decode_result:result_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->
       Annealing.search ~rng ~config ~tiles ~objective ?initial ~stop
         ?convergence ?checkpoint ?resume ~cores ())
 
-let tabu ?journal ?(every = default_every) ~rng ~config ~tiles ~objective
-    ?initial ?(stop = fun () -> false) ?convergence ~cores () =
-  let meta () =
-    Json.Assoc
-      [
-        ("algorithm", Json.Str "tabu");
-        ("objective", Json.Str objective.Objective.name);
-        ("rng", Json.int64 (Rng.state rng));
-        ("tiles", Json.Int tiles);
-        ("cores", Json.Int cores);
-        ("config", tabu_config_json config);
-        ( "initial",
-          match initial with
-          | None -> Json.Null
-          | Some p -> placement_json p );
-      ]
-  in
-  run_leg ?journal ~meta ~every ~encode:tabu_checkpoint_json
-    ~decode:tabu_checkpoint_of_json ~encode_result:result_json
-    ~decode_result:result_of_json ~stop
+let tabu ?journal ~rng ~config ~tiles ~objective ?initial
+    ?(stop = fun () -> false) ?convergence ~cores () =
+  run_leg ?journal
+    ~meta:(fun () ->
+      searcher_meta "tabu" (tabu_config_json config) ~objective ~rng ~tiles ~cores
+        ~initial)
+    ~encode:tabu_checkpoint_json ~decode:tabu_checkpoint_of_json
+    ~encode_result:result_json ~decode_result:result_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->
       Tabu.search ~rng ~config ~tiles ~objective ?initial ~stop ?convergence
         ?checkpoint ?resume ~cores ())
 
-let genetic ?journal ?(every = default_every) ~rng ~config ~tiles ~objective
-    ?initial ?(stop = fun () -> false) ?convergence ~cores () =
-  let meta () =
-    Json.Assoc
-      [
-        ("algorithm", Json.Str "ga");
-        ("objective", Json.Str objective.Objective.name);
-        ("rng", Json.int64 (Rng.state rng));
-        ("tiles", Json.Int tiles);
-        ("cores", Json.Int cores);
-        ("config", genetic_config_json config);
-        ( "initial",
-          match initial with
-          | None -> Json.Null
-          | Some p -> placement_json p );
-      ]
-  in
-  run_leg ?journal ~meta ~every ~encode:genetic_checkpoint_json
-    ~decode:genetic_checkpoint_of_json ~encode_result:result_json
-    ~decode_result:result_of_json ~stop
+let genetic ?journal ~rng ~config ~tiles ~objective ?initial
+    ?(stop = fun () -> false) ?convergence ~cores () =
+  run_leg ?journal
+    ~meta:(fun () ->
+      searcher_meta "ga" (genetic_config_json config) ~objective ~rng ~tiles ~cores
+        ~initial)
+    ~encode:genetic_checkpoint_json ~decode:genetic_checkpoint_of_json
+    ~encode_result:result_json ~decode_result:result_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->
       Genetic.search ~rng ~config ~tiles ~objective ?initial ~stop ?convergence
         ?checkpoint ?resume ~cores ())
 
-let portfolio ?journal ?(every = default_every) ~rng ~config ~strategies
+let portfolio ?journal ~rng ~config ~strategies
     ~tech ~crg ~cwg ~objective_name ~objective_for ?pool
     ?(stop = fun () -> false) ?target () =
   let meta () =
@@ -516,7 +498,7 @@ let portfolio ?journal ?(every = default_every) ~rng ~config ~strategies
           match target with None -> Json.Null | Some t -> Json.float_ t );
       ]
   in
-  run_leg ?journal ~meta ~every ~encode:portfolio_checkpoint_json
+  run_leg ?journal ~meta ~encode:portfolio_checkpoint_json
     ~decode:portfolio_checkpoint_of_json ~encode_result:report_json
     ~decode_result:report_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->
@@ -538,30 +520,11 @@ let decompose_config_json (c : Decompose.config) =
       ("polish", Json.Int c.Decompose.polish);
     ]
 
-let region_state_json = function
-  | Decompose.Sa_running c ->
-    Json.Assoc [ ("state", Json.Str "sa"); ("value", sa_checkpoint_json c) ]
-  | Decompose.Tabu_running c ->
-    Json.Assoc [ ("state", Json.Str "tabu"); ("value", tabu_checkpoint_json c) ]
-  | Decompose.Local_running c ->
-    Json.Assoc [ ("state", Json.Str "ls"); ("value", ls_checkpoint_json c) ]
-  | Decompose.Region_done r ->
-    Json.Assoc [ ("state", Json.Str "done"); ("value", result_json r) ]
-
-let region_state_of_json j =
-  let value = Json.get "value" j in
-  match Json.to_str (Json.get "state" j) with
-  | "sa" -> Decompose.Sa_running (sa_checkpoint_of_json value)
-  | "tabu" -> Decompose.Tabu_running (tabu_checkpoint_of_json value)
-  | "ls" -> Decompose.Local_running (ls_checkpoint_of_json value)
-  | "done" -> Decompose.Region_done (result_of_json value)
-  | other -> failwith ("unknown decompose region state: " ^ other)
-
 let decompose_checkpoint_json (c : Decompose.checkpoint) =
   Json.Assoc
     [
       ( "regions",
-        Json.List (List.map region_state_json c.Decompose.region_states) );
+        Json.List (List.map leg_json c.Decompose.region_states) );
       ("seed", result_json c.Decompose.seed);
       ( "base",
         match c.Decompose.base with
@@ -576,7 +539,7 @@ let decompose_checkpoint_json (c : Decompose.checkpoint) =
 let decompose_checkpoint_of_json j =
   {
     Decompose.region_states =
-      List.map region_state_of_json (Json.to_list (Json.get "regions" j));
+      List.map leg_of_json (Json.to_list (Json.get "regions" j));
     seed = result_of_json (Json.get "seed" j);
     base =
       (match Json.get "base" j with
@@ -654,7 +617,7 @@ let decompose_report_of_json j =
     polish_evaluations = Json.to_int (Json.get "polish_evaluations" j);
   }
 
-let decompose ?journal ?(every = default_every) ~rng ~config ~crg ~cwg
+let decompose ?journal ~rng ~config ~crg ~cwg
     ~objective_name ~objective_for ?region_objective_for ?pool
     ?(stop = fun () -> false) () =
   let meta () =
@@ -668,14 +631,14 @@ let decompose ?journal ?(every = default_every) ~rng ~config ~crg ~cwg
         ("config", decompose_config_json config);
       ]
   in
-  run_leg ?journal ~meta ~every ~encode:decompose_checkpoint_json
+  run_leg ?journal ~meta ~encode:decompose_checkpoint_json
     ~decode:decompose_checkpoint_of_json ~encode_result:decompose_report_json
     ~decode_result:decompose_report_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->
       Decompose.search ~rng ~config ~crg ~cwg ~objective_for
         ?region_objective_for ?pool ~stop ?checkpoint ?resume ())
 
-let local_search ?journal ?(every = default_every) ~objective ~tiles
+let local_search ?journal ~objective ~tiles
     ~initial ?(max_evaluations = 100_000) ?(stop = fun () -> false)
     ?convergence () =
   let meta () =
@@ -689,7 +652,7 @@ let local_search ?journal ?(every = default_every) ~objective ~tiles
         ("initial", placement_json initial);
       ]
   in
-  run_leg ?journal ~meta ~every ~encode:ls_checkpoint_json
+  run_leg ?journal ~meta ~encode:ls_checkpoint_json
     ~decode:ls_checkpoint_of_json ~encode_result:result_json
     ~decode_result:result_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->

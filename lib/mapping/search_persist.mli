@@ -20,23 +20,34 @@
     (application, mesh, seed) is the caller's manifest's job.
 
     Every wrapper takes its shard as one optional [?journal].  Without
-    it the call is the plain searcher (no shard, no fingerprint, [every]
-    ignored), so callers need no plain-versus-persisted branch.  The
+    it the call is the plain searcher (no shard, no fingerprint), so
+    callers need no plain-versus-persisted branch.  The
     same plain path runs when [stop] is already set on entry: the
     caller is winding down, so this leg's inputs may derive from an
     upstream search that was itself cut short and journaling them would
     poison the store with state a resumed run can never reproduce. *)
 
-type journal = Nocmap_persist.Store.t * string
-(** [(store, key)]: the store holding the shard, and the shard's key. *)
+type journal = {
+  store : Nocmap_persist.Store.t;  (** The store holding the shard. *)
+  key : string;
+      (** The shard's key; callers that journal several legs use it as
+          a prefix and {!sub} it per leg. *)
+  every : int;  (** Checkpoint cadence in cost evaluations. *)
+}
+(** One journal descriptor for every layer: a searcher's shard, an
+    experiment's scope ([Experiment], [Table2], [Fault_campaign]) and a
+    job's prefix ([Nocmap_serve.Run]). *)
+
+val sub : journal -> string -> journal
+(** [sub j name] nests a scope: the key becomes [j.key ^ "." ^ name],
+    e.g. ["t2-03-4x4-app2.cdcm-0.07u.leg1"]. *)
 
 val default_every : int
-(** Checkpoint cadence in evaluations when [?every] is omitted
-    (10,000 — well under 2% overhead on CDCM objectives). *)
+(** The CLI's and the daemon's default cadence (10,000 evaluations —
+    well under 2% overhead on CDCM objectives). *)
 
 val annealing :
   ?journal:journal ->
-  ?every:int ->
   rng:Nocmap_util.Rng.t ->
   config:Annealing.config ->
   tiles:int ->
@@ -54,7 +65,6 @@ val annealing :
 
 val local_search :
   ?journal:journal ->
-  ?every:int ->
   objective:Objective.t ->
   tiles:int ->
   initial:Placement.t ->
@@ -67,7 +77,6 @@ val local_search :
 
 val tabu :
   ?journal:journal ->
-  ?every:int ->
   rng:Nocmap_util.Rng.t ->
   config:Tabu.config ->
   tiles:int ->
@@ -83,7 +92,6 @@ val tabu :
 
 val genetic :
   ?journal:journal ->
-  ?every:int ->
   rng:Nocmap_util.Rng.t ->
   config:Genetic.config ->
   tiles:int ->
@@ -99,7 +107,6 @@ val genetic :
 
 val portfolio :
   ?journal:journal ->
-  ?every:int ->
   rng:Nocmap_util.Rng.t ->
   config:Portfolio.config ->
   strategies:Portfolio.strategy list ->
@@ -125,7 +132,6 @@ val portfolio :
 
 val decompose :
   ?journal:journal ->
-  ?every:int ->
   rng:Nocmap_util.Rng.t ->
   config:Decompose.config ->
   crg:Nocmap_noc.Crg.t ->
@@ -156,3 +162,11 @@ val placement_json : Placement.t -> Nocmap_persist.Json.t
 val placement_of_json : Nocmap_persist.Json.t -> Placement.t
 val result_json : Objective.search_result -> Nocmap_persist.Json.t
 val result_of_json : Nocmap_persist.Json.t -> Objective.search_result
+
+val portfolio_checkpoint_json : Portfolio.checkpoint -> Nocmap_persist.Json.t
+val portfolio_checkpoint_of_json : Nocmap_persist.Json.t -> Portfolio.checkpoint
+val decompose_checkpoint_json : Decompose.checkpoint -> Nocmap_persist.Json.t
+val decompose_checkpoint_of_json : Nocmap_persist.Json.t -> Decompose.checkpoint
+(** Every leg state in either checkpoint goes through one codec,
+    [{"state": tag, "value": ...}] with the disjoint tags
+    [sa|tabu|ga|ls|done]. *)

@@ -379,7 +379,11 @@ let execute t ~share ~stop (spec : Job_spec.t) =
       | _ -> !timed_out
   in
   let journal =
-    { Run.store = t.store; prefix = "job." ^ spec.id; every = t.config.checkpoint_every }
+    {
+      Mapping.Search_persist.store = t.store;
+      key = "job." ^ spec.id;
+      every = t.config.checkpoint_every;
+    }
   in
   let cache = if share then Run.Shared t.caches else Run.Private in
   match Run.execute ~journal ~stop:job_stop ~cache spec with

@@ -6,10 +6,7 @@ module Mapping = Nocmap_mapping
 module Objective = Nocmap_mapping.Objective
 module Eval_cache = Nocmap_mapping.Eval_cache
 
-type journal = { store : Nocmap_persist.Store.t; prefix : string; every : int }
-
 type cache =
-  | No_cache
   | Private
   | Shared of (string, Eval_cache.t) Hashtbl.t
 
@@ -101,7 +98,6 @@ let execute ?journal ?pool ?convergence ~stop ~cache (spec : Job_spec.t) =
          Objective.cdcm ~incremental:spec.incremental ~tech ~params ~crg ~cdcg ()
      in
      let cached c = Objective.with_cache c (base ()) in
-     let caching = match cache with No_cache -> false | Private | Shared _ -> true in
      (* CWM only reads per-pair hop counts, so it may use the larger
         hop-exact group; the simulation-backed CDCM needs path-exact. *)
      let symmetry =
@@ -115,37 +111,35 @@ let execute ?journal ?pool ?convergence ~stop ~cache (spec : Job_spec.t) =
      (* The objective of a single-domain search, and the cache it reports. *)
      let used_cache = ref None in
      let objective () =
-       used_cache :=
-         (match cache with
-         | No_cache -> None
-         | Private -> Some (private_cache (Lazy.force symmetry))
-         | Shared table -> Some (shared_cache table spec ~cdcg ~cores ~symmetry));
-       Option.fold ~none:(base ()) ~some:cached !used_cache
+       let c =
+         match cache with
+         | Private -> private_cache (Lazy.force symmetry)
+         | Shared table -> shared_cache table spec ~cdcg ~cores ~symmetry
+       in
+       used_cache := Some c;
+       cached c
      in
      (* Racers and regions may run on distinct domains and Eval_cache is
         single-domain, so each gets a fresh objective and private cache,
         all from one symmetry group forced here, on the calling domain. *)
      let fresh_objectives () =
-       if not caching then base
-       else
-         let symmetry = Lazy.force symmetry in
-         fun () -> cached (private_cache symmetry)
+       let symmetry = Lazy.force symmetry in
+       fun () -> cached (private_cache symmetry)
      in
      (* A decompose region only moves its own cluster, so its cache keys
         just those cores (and drops the mesh group, which the frozen
         context breaks anyway): the dominant cache allocation shrinks by
         ~[cores / region] compared to a full-key cache per region. *)
      let region_objective_for ~cores:support ~tiles:_ =
-       if not caching then base ()
-       else cached (private_cache ~support (Symmetry.identity_only spec.mesh))
+       cached (private_cache ~support (Symmetry.identity_only spec.mesh))
      in
-     let journal, every =
+     let journal =
        match (journal, shard_suffix spec.algorithm) with
-       | Some j, Some suffix -> (Some (j.store, j.prefix ^ "." ^ suffix), Some j.every)
-       | _ -> (None, None)
+       | Some j, Some suffix -> Some (Mapping.Search_persist.sub j suffix)
+       | _ -> None
      in
      let local_search initial =
-       Mapping.Search_persist.local_search ?journal ?every ~objective:(objective ()) ~tiles
+       Mapping.Search_persist.local_search ?journal ~objective:(objective ()) ~tiles
          ~initial
          ?max_evaluations:(if quick spec then Some 10_000 else None)
          ~stop ?convergence ()
@@ -153,7 +147,7 @@ let execute ?journal ?pool ?convergence ~stop ~cache (spec : Job_spec.t) =
      let result, report =
        match spec.algorithm with
        | Job_spec.Sa ->
-         ( Mapping.Search_persist.annealing ?journal ?every ~rng
+         ( Mapping.Search_persist.annealing ?journal ~rng
              ~config:(sa_config spec ~tiles) ~tiles ~objective:(objective ()) ~stop
              ?convergence ~cores (),
            Plain )
@@ -167,8 +161,9 @@ let execute ?journal ?pool ?convergence ~stop ~cache (spec : Job_spec.t) =
            Plain )
        | Job_spec.Es ->
          let objective = objective () in
-         let symmetry = if caching then Some (Lazy.force symmetry) else None in
-         (Mapping.Exhaustive.search ~objective ~cores ~tiles ?symmetry ?convergence (), Plain)
+         ( Mapping.Exhaustive.search ~objective ~cores ~tiles ~symmetry:(Lazy.force symmetry)
+             ?convergence (),
+           Plain )
        | Job_spec.Portfolio strategies ->
          let fresh = fresh_objectives () in
          let config =
@@ -176,7 +171,7 @@ let execute ?journal ?pool ?convergence ~stop ~cache (spec : Job_spec.t) =
            else Mapping.Portfolio.default_config ~tiles
          in
          let r =
-           Mapping.Search_persist.portfolio ?journal ?every ~rng ~config ~strategies ~tech
+           Mapping.Search_persist.portfolio ?journal ~rng ~config ~strategies ~tech
              ~crg ~cwg ~objective_name:name
              ~objective_for:(fun _ -> fresh ())
              ?pool ~stop ()
@@ -189,7 +184,7 @@ let execute ?journal ?pool ?convergence ~stop ~cache (spec : Job_spec.t) =
            else Mapping.Decompose.default_config ~tiles
          in
          let r =
-           Mapping.Search_persist.decompose ?journal ?every ~rng
+           Mapping.Search_persist.decompose ?journal ~rng
              ~config:{ config with refiner } ~crg ~cwg ~objective_name:name
              ~objective_for:fresh ~region_objective_for ?pool ~stop ()
          in

@@ -7,19 +7,11 @@
     region-keyed ones included) and the journal shard keys.  Callers
     supply only what differs between them. *)
 
-type journal = {
-  store : Nocmap_persist.Store.t;
-  prefix : string;
-      (** Runs journal under [prefix ^ "." ^ suffix]: [map.sa],
-          [job.<id>.decompose]; greedy+local uses the [local] suffix. *)
-  every : int;  (** Checkpoint cadence in cost evaluations. *)
-}
-
-(** Every policy gives bit-identical results; only CPU time and the
-    [cache.*] metrics change.  Portfolio racers and decompose regions
-    always get private caches. *)
+(** Where a run's evaluation caches live.  Caching never changes a
+    result, only CPU time and the [cache.*] metrics, so it is always on
+    ([es] always enumerates only symmetry-canonical placements).
+    Portfolio racers and decompose regions always get private caches. *)
 type cache =
-  | No_cache  (** Also makes [es] enumerate every placement. *)
   | Private  (** Fresh caches owned by this run. *)
   | Shared of (string, Nocmap_mapping.Eval_cache.t) Hashtbl.t
       (** Single-domain searches look their cache up here, keyed by the
@@ -42,7 +34,7 @@ type outcome = {
 }
 
 val execute :
-  ?journal:journal ->
+  ?journal:Nocmap_mapping.Search_persist.journal ->
   ?pool:Nocmap_util.Domain_pool.t ->
   ?convergence:Nocmap_obs.Series.t ->
   stop:(unit -> bool) ->
@@ -51,7 +43,9 @@ val execute :
   (outcome, string) result
 (** [Error] when the application cannot be loaded or does not fit.
     With [journal] the {!journaled} algorithms checkpoint through
-    {!Nocmap_mapping.Search_persist}, and a re-run over the same store
+    {!Nocmap_mapping.Search_persist} under the shard
+    [Search_persist.sub journal suffix]: [map.sa], [job.<id>.decompose];
+    greedy+local uses the [local] suffix.  A re-run over the same store
     resumes bit-identically.  [pool] serves the {!parallel} algorithms;
     [convergence] records sa, es, local and greedy+local.  [stop] must
     be sticky; a stopped run returns its best-so-far.

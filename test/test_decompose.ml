@@ -207,24 +207,42 @@ let prop_jobs_invariant =
 
 (* --- kill + resume --- *)
 
-let persisted ?stop ~store seed =
-  Mapping.Search_persist.decompose ~journal:(store, "decompose") ~every:200
-    ~rng:(Rng.create ~seed) ~config:(config ()) ~crg ~cwg:(cwg seed)
+let persisted ?refiner ?stop ~store seed =
+  Mapping.Search_persist.decompose
+    ~journal:{ Mapping.Search_persist.store; key = "decompose"; every = 200 }
+    ~rng:(Rng.create ~seed) ~config:(config ?refiner ()) ~crg ~cwg:(cwg seed)
     ~objective_name:"cwm" ~objective_for:(objective_for seed) ?stop ()
 
+(* Kill points are drawn per mille of the uninterrupted run's stop
+   polls, so every draw lands inside the run whatever its length: the
+   local refiner finishes in a few dozen polls, annealing in thousands. *)
 let prop_kill_resume_bit_identical =
   QCheck2.Test.make
     ~name:"decompose killed at any point resumes bit-identically"
     ~count:(prop_count 8)
-    ~print:(fun (seed, kill_at) ->
-      Printf.sprintf "seed %d, kill %d" seed kill_at)
-    QCheck2.Gen.(pair (int_range 0 1000) (int_range 0 8_000))
-    (fun (seed, kill_at) ->
-      let reference = run seed in
+    ~print:(fun (seed, refiner, per_mille) ->
+      Printf.sprintf "seed %d, %s, kill at %d per mille" seed
+        (Mapping.Decompose.refiner_to_string refiner)
+        per_mille)
+    QCheck2.Gen.(
+      triple (int_range 0 1000)
+        (oneofl
+           [ Mapping.Decompose.Sa; Mapping.Decompose.Tabu; Mapping.Decompose.Local ])
+        (int_range 0 999))
+    (fun (seed, refiner, per_mille) ->
+      let polls = ref 0 in
+      let reference =
+        run ~refiner
+          ~stop:(fun () ->
+            incr polls;
+            false)
+          seed
+      in
+      let kill_at = !polls * per_mille / 1000 in
       let store = Store.open_ ~dir:(temp_dir ()) in
-      ignore (persisted ~store ~stop:(stop_after kill_at) seed);
-      let resumed = persisted ~store seed in
-      let replayed = persisted ~store seed in
+      ignore (persisted ~refiner ~store ~stop:(stop_after kill_at) seed);
+      let resumed = persisted ~refiner ~store seed in
+      let replayed = persisted ~refiner ~store seed in
       check_report "resumed vs uninterrupted" reference resumed;
       check_report "replayed vs uninterrupted" reference replayed;
       true)
@@ -237,7 +255,8 @@ let test_persist_rejects_config_mismatch () =
   Alcotest.(check bool)
     "changed refiner is refused" true
     (match
-       Mapping.Search_persist.decompose ~journal:(store, "decompose") ~every:200
+       Mapping.Search_persist.decompose
+         ~journal:{ Mapping.Search_persist.store; key = "decompose"; every = 200 }
          ~rng:(Rng.create ~seed:7)
          ~config:(config ~refiner:Mapping.Decompose.Local ())
          ~crg ~cwg:(cwg 7) ~objective_name:"cwm"

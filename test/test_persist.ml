@@ -182,13 +182,14 @@ let sa_reference seed =
     ~objective ~cores:4 ()
 
 let sa_persisted ~store ?stop seed =
-  Mapping.Search_persist.annealing ~journal:(store, "sa") ~every:100
+  Mapping.Search_persist.annealing
+    ~journal:{ Mapping.Search_persist.store; key = "sa"; every = 100 }
     ~rng:(Rng.create ~seed) ~config:sa_config ~tiles:4 ~objective ?stop
     ~cores:4 ()
 
 let prop_sa_kill_resume_bit_identical =
   QCheck2.Test.make ~name:"SA killed at any point resumes bit-identically"
-    ~count:15
+    ~count:(Test_util.prop_count 15)
     QCheck2.Gen.(pair (int_range 0 1000) (int_range 0 2_500))
     (fun (seed, kill_at) ->
       let reference = sa_reference seed in
@@ -206,12 +207,13 @@ let ls_reference () =
   Mapping.Local_search.search ~objective ~tiles:4 ~initial:ls_initial ()
 
 let ls_persisted ~store ?stop () =
-  Mapping.Search_persist.local_search ~journal:(store, "ls") ~every:3 ~objective
-    ~tiles:4 ~initial:ls_initial ?stop ()
+  Mapping.Search_persist.local_search
+    ~journal:{ Mapping.Search_persist.store; key = "ls"; every = 3 }
+    ~objective ~tiles:4 ~initial:ls_initial ?stop ()
 
 let prop_ls_kill_resume_bit_identical =
   QCheck2.Test.make ~name:"local search killed at any point resumes bit-identically"
-    ~count:15
+    ~count:(Test_util.prop_count 15)
     QCheck2.Gen.(int_range 0 40)
     (fun kill_at ->
       let reference = ls_reference () in
@@ -220,6 +222,16 @@ let prop_ls_kill_resume_bit_identical =
       let resumed = ls_persisted ~store () in
       check_result "resumed vs uninterrupted" reference resumed;
       true)
+
+(* The uninterrupted descent takes two passes.  [stop_after 3] lets the
+   wrapper's entry poll and both pass boundaries through and fires only
+   after the descent has finished on its own: that finished descent must
+   not be journaled as resumable, or the resume repeats its last pass
+   and reports 37 evaluations instead of 25. *)
+let test_ls_stop_after_last_pass () =
+  let store = Store.open_ ~dir:(temp_dir ()) in
+  ignore (ls_persisted ~store ~stop:(stop_after 3) ());
+  check_result "resumed vs uninterrupted" (ls_reference ()) (ls_persisted ~store ())
 
 (* A checkpoint cadence that never fires must not perturb the search:
    the persisted run falls out of the journal as one done record. *)
@@ -271,6 +283,174 @@ let test_unjournaled_equals_plain () =
     wrapped.Mapping.Decompose.result;
   Alcotest.(check bool) "decompose report" true (plain = wrapped)
 
+(* --- leg codec bytes ---
+
+   Portfolio racers and decompose regions share one leg codec.  These
+   fixed checkpoints hold every leg tag (sa, tabu, ga, ls, done); their
+   encodings are pinned to the bytes earlier releases wrote, so existing
+   checkpoint directories keep resuming. *)
+
+let fixture_sa =
+  {
+    Mapping.Annealing.rng_state = 0x0123456789abcdefL;
+    evaluations = 42;
+    current = [| 1; 0; 2 |];
+    current_cost = 0.1;
+    best = [| 0; 1; 2 |];
+    best_cost = 0.0625;
+    temperature = 1.5;
+    floor = 1e-3;
+    stale_levels = 2;
+    moves = 7;
+    improved_this_level = true;
+    accepted = 30;
+    rejected = 11;
+    cutoff_hits = 3;
+  }
+
+let fixture_tabu =
+  {
+    Mapping.Tabu.rng_state = -5L;
+    evaluations = 17;
+    iteration = 4;
+    current = [| 2; 1; 0 |];
+    current_cost = 3.25;
+    best = [| 2; 0; 1 |];
+    best_cost = 3.0;
+    stale = 1;
+    tabu = [ (0, 2, 9); (1, 1, 7) ];
+    cutoff_hits = 0;
+  }
+
+let fixture_ga =
+  {
+    Mapping.Genetic.rng_state = 99L;
+    evaluations = 12;
+    generation = 2;
+    population = [| [| 0; 1; 2 |]; [| 2; 1; 0 |] |];
+    fitness = [| 1.0; infinity |];
+    best = [| 0; 1; 2 |];
+    best_cost = 1.0;
+    stale = 0;
+    cutoff_hits = 1;
+  }
+
+let fixture_ls =
+  { Mapping.Local_search.current = [| 1; 2; 0 |]; current_cost = 2.5; evaluations = 9; cutoff_hits = 2 }
+
+let fixture_done = { Mapping.Objective.placement = [| 0; 2; 1 |]; cost = 0.3; evaluations = 25 }
+
+let fixture_portfolio =
+  {
+    Mapping.Portfolio.round = 3;
+    in_round = true;
+    seeds = [ (Mapping.Portfolio.Spiral, fixture_done) ];
+    legs =
+      [
+        (Mapping.Portfolio.Sa, Mapping.Leg.Sa_running fixture_sa);
+        (Mapping.Portfolio.Tabu, Mapping.Leg.Done fixture_done);
+        (Mapping.Portfolio.Genetic, Mapping.Leg.Genetic_running fixture_ga);
+      ];
+    best = [| 0; 1; 2 |];
+    best_cost = 0.0625;
+    best_by = Mapping.Portfolio.Sa;
+    seed_evaluations = 1;
+    incumbent_updates = 2;
+    cutoff_tightenings = 1;
+    wins =
+      Mapping.Portfolio.[ (Spiral, 1); (Sa, 2); (Tabu, 0); (Genetic, 0) ];
+    ceilings =
+      Mapping.Portfolio.[ (Sa, infinity); (Tabu, 0.078125); (Genetic, 0.1) ];
+    round_starts = Mapping.Portfolio.[ (Sa, 40); (Tabu, 25); (Genetic, 10) ];
+  }
+
+let fixture_decompose =
+  {
+    Mapping.Decompose.region_states =
+      [
+        Mapping.Leg.Sa_running fixture_sa;
+        Mapping.Leg.Tabu_running fixture_tabu;
+        Mapping.Leg.Local_running fixture_ls;
+        Mapping.Leg.Done fixture_done;
+      ];
+    seed = fixture_done;
+    base = Some { fixture_done with Mapping.Objective.evaluations = 70 };
+    polish = Some fixture_ls;
+  }
+
+let golden_portfolio_json =
+  String.concat ""
+    [
+      {|{"round":3,"in_round":true,"seeds":[{"strategy":"spiral",|};
+      {|"value":{"placement":[0,2,1],"cost":"0x1.3333333333333p-2",|};
+      {|"evaluations":25}}],"legs":[{"strategy":"sa","value":{"state":"sa",|};
+      {|"value":{"rng":"0x123456789abcdef","evaluations":42,"current":[1,0,|};
+      {|2],"current_cost":"0x1.999999999999ap-4","best":[0,1,2],|};
+      {|"best_cost":"0x1p-4","temperature":"0x1.8p+0",|};
+      {|"floor":"0x1.0624dd2f1a9fcp-10","stale_levels":2,"moves":7,|};
+      {|"improved":true,"accepted":30,"rejected":11,"cutoff_hits":3}}},|};
+      {|{"strategy":"tabu","value":{"state":"done","value":{"placement":[0,|};
+      {|2,1],"cost":"0x1.3333333333333p-2","evaluations":25}}},|};
+      {|{"strategy":"genetic","value":{"state":"ga","value":{"rng":"0x63",|};
+      {|"evaluations":12,"generation":2,"population":[[0,1,2],[2,1,0]],|};
+      {|"fitness":["0x1p+0","infinity"],"best":[0,1,2],"best_cost":"0x1p+0",|};
+      {|"stale":0,"cutoff_hits":1}}}],"best":[0,1,2],"best_cost":"0x1p-4",|};
+      {|"best_by":"sa","seed_evaluations":1,"incumbent_updates":2,|};
+      {|"cutoff_tightenings":1,"wins":[{"strategy":"spiral","value":1},|};
+      {|{"strategy":"sa","value":2},{"strategy":"tabu","value":0},|};
+      {|{"strategy":"genetic","value":0}],"ceilings":[{"strategy":"sa",|};
+      {|"value":"infinity"},{"strategy":"tabu","value":"0x1.4p-4"},|};
+      {|{"strategy":"genetic","value":"0x1.999999999999ap-4"}],|};
+      {|"round_starts":[{"strategy":"sa","value":40},{"strategy":"tabu",|};
+      {|"value":25},{"strategy":"genetic","value":10}]}|};
+    ]
+
+let golden_decompose_json =
+  String.concat ""
+    [
+      {|{"regions":[{"state":"sa","value":{"rng":"0x123456789abcdef",|};
+      {|"evaluations":42,"current":[1,0,2],|};
+      {|"current_cost":"0x1.999999999999ap-4","best":[0,1,2],|};
+      {|"best_cost":"0x1p-4","temperature":"0x1.8p+0",|};
+      {|"floor":"0x1.0624dd2f1a9fcp-10","stale_levels":2,"moves":7,|};
+      {|"improved":true,"accepted":30,"rejected":11,"cutoff_hits":3}},|};
+      {|{"state":"tabu","value":{"rng":"0xfffffffffffffffb",|};
+      {|"evaluations":17,"iteration":4,"current":[2,1,0],|};
+      {|"current_cost":"0x1.ap+1","best":[2,0,1],"best_cost":"0x1.8p+1",|};
+      {|"stale":1,"tabu":[[0,2,9],[1,1,7]],"cutoff_hits":0}},{"state":"ls",|};
+      {|"value":{"current":[1,2,0],"current_cost":"0x1.4p+1",|};
+      {|"evaluations":9,"cutoff_hits":2}},{"state":"done",|};
+      {|"value":{"placement":[0,2,1],"cost":"0x1.3333333333333p-2",|};
+      {|"evaluations":25}}],"seed":{"placement":[0,2,1],|};
+      {|"cost":"0x1.3333333333333p-2","evaluations":25},|};
+      {|"base":{"placement":[0,2,1],"cost":"0x1.3333333333333p-2",|};
+      {|"evaluations":70},"polish":{"current":[1,2,0],|};
+      {|"current_cost":"0x1.4p+1","evaluations":9,"cutoff_hits":2}}|};
+    ]
+
+let check_codec_bytes msg ~encode ~decode ~golden value =
+  let encoded = Json.to_string (encode value) in
+  Alcotest.(check string) (msg ^ ": golden bytes") golden encoded;
+  let decoded =
+    match Json.of_string golden with
+    | Ok j -> decode j
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) (msg ^ ": decodes to the fixture") true (decoded = value);
+  Alcotest.(check string)
+    (msg ^ ": re-encodes byte-identically") golden
+    (Json.to_string (encode decoded))
+
+let test_leg_codec_bytes () =
+  check_codec_bytes "portfolio"
+    ~encode:Mapping.Search_persist.portfolio_checkpoint_json
+    ~decode:Mapping.Search_persist.portfolio_checkpoint_of_json
+    ~golden:golden_portfolio_json fixture_portfolio;
+  check_codec_bytes "decompose"
+    ~encode:Mapping.Search_persist.decompose_checkpoint_json
+    ~decode:Mapping.Search_persist.decompose_checkpoint_of_json
+    ~golden:golden_decompose_json fixture_decompose
+
 (* --- driver kill + resume --- *)
 
 let small_instance seed =
@@ -281,17 +461,17 @@ let small_instance seed =
 
 let table2_instances = [ small_instance 41; small_instance 42 ]
 
-let table2_run ?pool ?stop ?persist () =
+let table2_run ?pool ?stop ?journal () =
   Nocmap.Table2.render
     (Nocmap.Table2.run ~config:Nocmap.Experiment.quick_config
-       ~instances:table2_instances ?pool ?stop ?persist ~seed:41 ())
+       ~instances:table2_instances ?pool ?stop ?journal ~seed:41 ())
 
 let table2_kill_resume ?pool kill_at =
   let reference = table2_run () in
   let store = Store.open_ ~dir:(temp_dir ()) in
-  let persist () = Nocmap.Experiment.persist ~scope:"t2" ~every:50 store in
-  ignore (table2_run ?pool ~stop:(stop_after kill_at) ~persist:(persist ()) ());
-  let resumed = table2_run ~persist:(persist ()) () in
+  let journal = { Mapping.Search_persist.store; key = "t2"; every = 50 } in
+  ignore (table2_run ?pool ~stop:(stop_after kill_at) ~journal ());
+  let resumed = table2_run ~journal () in
   Alcotest.(check string) "resumed table bit-identical" reference resumed
 
 let test_table2_kill_resume () = table2_kill_resume 300
@@ -309,14 +489,14 @@ let test_faults_kill_resume () =
       multi_fault_count = 4;
     }
   in
-  let run ?stop ?persist () =
-    Nocmap.Fault_campaign.run ~config ?stop ?persist ~mesh ~seed:11 cdcg
+  let run ?stop ?journal () =
+    Nocmap.Fault_campaign.run ~config ?stop ?journal ~mesh ~seed:11 cdcg
   in
   let reference = run () in
   let store = Store.open_ ~dir:(temp_dir ()) in
-  let persist () = Nocmap.Experiment.persist ~scope:"faults" ~every:50 store in
-  ignore (run ~stop:(stop_after 200) ~persist:(persist ()) ());
-  let resumed = run ~persist:(persist ()) () in
+  let journal = { Mapping.Search_persist.store; key = "faults"; every = 50 } in
+  ignore (run ~stop:(stop_after 200) ~journal ());
+  let resumed = run ~journal () in
   Alcotest.(check bool) "campaign record bit-identical" true
     (compare reference resumed = 0);
   Alcotest.(check string) "campaign CSV bit-identical"
@@ -348,10 +528,13 @@ let suite =
         test_memoize_meta_mismatch_is_loud;
       QCheck_alcotest.to_alcotest prop_sa_kill_resume_bit_identical;
       QCheck_alcotest.to_alcotest prop_ls_kill_resume_bit_identical;
+      Alcotest.test_case "local search stopped after its last pass resumes" `Quick
+        test_ls_stop_after_last_pass;
       Alcotest.test_case "persisted SA matches plain SA" `Quick
         test_sa_persisted_matches_plain;
       Alcotest.test_case "unjournaled wrappers equal the plain searchers" `Quick
         test_unjournaled_equals_plain;
+      Alcotest.test_case "leg codec bytes are pinned" `Quick test_leg_codec_bytes;
       Alcotest.test_case "table2 kill+resume bit-identical" `Quick
         test_table2_kill_resume;
       Alcotest.test_case "table2 pooled kill+resume bit-identical" `Quick

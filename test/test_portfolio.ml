@@ -178,7 +178,8 @@ let prop_race_jobs_invariant =
 (* --- kill + resume --- *)
 
 let persisted_race ~store ?stop seed =
-  Mapping.Search_persist.portfolio ~journal:(store, "portfolio") ~every:200
+  Mapping.Search_persist.portfolio
+    ~journal:{ Mapping.Search_persist.store; key = "portfolio"; every = 200 }
     ~rng:(Rng.create ~seed)
     ~config:(Mapping.Portfolio.quick_config ~tiles:4)
     ~strategies:all ~tech ~crg ~cwg:Fig1.cwg ~objective_name:"cdcm"
@@ -207,7 +208,8 @@ let tabu_reference seed =
     ~tiles:4 ~objective:(fresh_objective ()) ~cores:4 ()
 
 let tabu_persisted ~store ?stop seed =
-  Mapping.Search_persist.tabu ~journal:(store, "tabu") ~every:100
+  Mapping.Search_persist.tabu
+    ~journal:{ Mapping.Search_persist.store; key = "tabu"; every = 100 }
     ~rng:(Rng.create ~seed)
     ~config:(Mapping.Tabu.quick_config ~tiles:4)
     ~tiles:4 ~objective:(fresh_objective ()) ?stop ~cores:4 ()
@@ -232,7 +234,8 @@ let genetic_reference seed =
     ~tiles:4 ~objective:(fresh_objective ()) ~cores:4 ()
 
 let genetic_persisted ~store ?stop seed =
-  Mapping.Search_persist.genetic ~journal:(store, "ga") ~every:100
+  Mapping.Search_persist.genetic
+    ~journal:{ Mapping.Search_persist.store; key = "ga"; every = 100 }
     ~rng:(Rng.create ~seed)
     ~config:(Mapping.Genetic.quick_config ~tiles:4)
     ~tiles:4 ~objective:(fresh_objective ()) ?stop ~cores:4 ()
@@ -284,7 +287,8 @@ let prop_only_sa_matches_plain_annealing =
 let test_persist_rejects_strategy_mismatch () =
   let store = Store.open_ ~dir:(temp_dir ()) in
   let run strategies =
-    Mapping.Search_persist.portfolio ~journal:(store, "race") ~every:200
+    Mapping.Search_persist.portfolio
+      ~journal:{ Mapping.Search_persist.store; key = "race"; every = 200 }
       ~rng:(Rng.create ~seed:5)
       ~config:(Mapping.Portfolio.quick_config ~tiles:4)
       ~strategies ~tech ~crg ~cwg:Fig1.cwg ~objective_name:"cdcm"
@@ -306,7 +310,8 @@ let test_persist_rejects_cross_algorithm_shard () =
   Alcotest.(check bool)
     "tabu shard refused by genetic" true
     (match
-       Mapping.Search_persist.genetic ~journal:(store, "tabu") ~every:100
+       Mapping.Search_persist.genetic
+         ~journal:{ Mapping.Search_persist.store; key = "tabu"; every = 100 }
          ~rng:(Rng.create ~seed:3)
          ~config:(Mapping.Genetic.quick_config ~tiles:4)
          ~tiles:4 ~objective:(fresh_objective ()) ~cores:4 ()

@@ -574,6 +574,7 @@ let test_serve_metrics_registered () =
 
 module Run = Serve.Run
 module Store = Nocmap_persist.Store
+module Search_persist = Nocmap_mapping.Search_persist
 
 let algorithms =
   [ "sa"; "local"; "greedy"; "greedy+local"; "random"; "es"; "portfolio"; "decompose" ]
@@ -609,7 +610,7 @@ let test_run_parity () =
       let plain = run_json spec in
       let store = Store.open_ ~dir:(temp_dir ()) in
       let journaled =
-        run_json ~journal:{ Run.store; prefix = "map"; every = 50 } spec
+        run_json ~journal:{ Search_persist.store; key = "map"; every = 50 } spec
       in
       let dir = temp_dir () in
       let engine, events = make_engine ~config:fast_config dir in
@@ -664,7 +665,8 @@ let test_run_replays_recorded_shard () =
       let before = Metrics.counter_value replayed in
       match
         Run.execute
-          ~journal:{ Run.store; prefix = "map"; every = Nocmap_mapping.Search_persist.default_every }
+          ~journal:
+            { Search_persist.store; key = "map"; every = Search_persist.default_every }
           ~stop:(fun () -> false) ~cache:Run.Private spec
       with
       | Error e -> Alcotest.fail e
