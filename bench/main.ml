@@ -563,7 +563,7 @@ let bench_json () =
      interleaved round-robin with best-of-five windows per metric: a
      multi-second interference burst then slows every metric of a rep
      instead of one side of a ratio, and the max discards slowed reps. *)
-  let scratch = Wormhole.Scratch.create ~crg cdcg in
+  let scratch = Wormhole.Scratch.create ~params ~crg cdcg in
   let incumbent =
     (* cutoff for the bound throughput: best cost over the sample set *)
     let best = ref infinity in
@@ -574,13 +574,10 @@ let bench_json () =
     done;
     !best
   in
-  (* Swap-move candidate stream for the incremental-evaluation gate:
-     random non-noop moves around the anchor [pick 0], exactly the
-     proposals a descent bounds against its best cost.  The same
-     (core, tile) pairs are materialized as full placements so the
-     arena+cutoff simulator can be timed on the identical stream. *)
+  (* Swap-move candidate stream: random non-noop moves around the
+     anchor [pick 0], exactly the proposals a descent bounds against
+     its best cost, materialized as full placements. *)
   let n_moves = 256 in
-  let move_pairs = Array.make n_moves (0, 0) in
   let move_candidates = Array.make n_moves [||] in
   (let anchor = pick 0 in
    let occupant = Array.make tiles (-1) in
@@ -592,21 +589,11 @@ let bench_json () =
      while !tile = anchor.(core) do
        tile := Rng.int move_rng tiles
      done;
-     move_pairs.(m) <- (core, !tile);
      let cand = Array.copy anchor in
      cand.(core) <- !tile;
      if occupant.(!tile) >= 0 then cand.(occupant.(!tile)) <- anchor.(core);
      move_candidates.(m) <- cand
    done);
-  let pick_move i = move_pairs.(i mod n_moves) in
-  let cdcm_inc_move =
-    Mapping.Cost_cdcm_incremental.create ~tech ~params ~crg ~cdcg
-      ~placement:(pick 0) ()
-  in
-  let cdcm_inc =
-    Mapping.Cost_cdcm_incremental.create ~tech ~params ~crg ~cdcg
-      ~placement:(pick 0) ()
-  in
   let cdcm_measures =
     [|
       (* seed-simulator baseline *)
@@ -639,30 +626,14 @@ let bench_json () =
               (Mapping.Cost_cdcm.evaluate_bound ~scratch ~tech ~params ~crg ~cdcg
                  ~cutoff:incumbent (pick i))));
       (* the same arena+cutoff path on the swap-move candidate stream:
-         what a descent pays per proposed move without incrementality
-         (the simulator cannot exploit the single-move diff, so it
-         re-simulates the whole placement) *)
+         what a descent pays per proposed move (the simulator cannot
+         exploit the single-move diff, so it re-simulates the whole
+         placement) *)
       (fun () ->
         ops_per_sec (fun i ->
             ignore
               (Mapping.Cost_cdcm.evaluate_bound ~scratch ~tech ~params ~crg ~cdcg
                  ~cutoff:incumbent move_candidates.(i mod n_moves))));
-      (* incremental: the identical move stream through the delta
-         evaluator — exact dynamic re-sum plus the analytic cone bound
-         reject most candidates without entering the simulator *)
-      (fun () ->
-        ops_per_sec (fun i ->
-            let core, tile = pick_move i in
-            ignore
-              (Mapping.Cost_cdcm_incremental.move_bound cdcm_inc_move ~core ~tile
-                 ~cutoff:incumbent)));
-      (* anchor-oblivious robustness: arbitrary-placement candidates
-         through [bound_for], where every query diffs against a drifting
-         anchor and the affected cone is essentially the whole graph *)
-      (fun () ->
-        ops_per_sec (fun i ->
-            ignore (Mapping.Cost_cdcm_incremental.bound_for cdcm_inc
-                      ~cutoff:incumbent (pick i))));
     |]
   in
   let reps = 5 in
@@ -687,42 +658,8 @@ let bench_json () =
   let cdcm_arena_metrics_ops = best 3 in
   let cdcm_cutoff_ops = best 4 in
   let cdcm_cutoff_move_ops = best 5 in
-  let cdcm_inc_move_ops = best 6 in
-  let cdcm_inc_bound_ops = best 7 in
   let arena_speedup = median_ratio 2 0 in
   let cutoff_speedup = median_ratio 4 0 in
-  (* The tentpole ratio: bounding candidates against the incumbent
-     through the incremental evaluator vs the arena+cutoff simulation
-     path it replaces, on the identical candidate stream.  This is the
-     pruning regime the evaluator serves — most candidates sit well
-     above the best known cost, and the analytic bound rejects them
-     without entering the simulator. *)
-  let incremental_speedup = median_ratio 7 4 in
-  let hit_percent evaluator =
-    let s = Mapping.Cost_cdcm_incremental.stats evaluator in
-    100.0
-    *. float_of_int s.Mapping.Cost_cdcm_incremental.delta_hits
-    /. float_of_int (max 1 s.Mapping.Cost_cdcm_incremental.queries)
-  in
-  let inc_delta_hit_percent = hit_percent cdcm_inc in
-  let inc_move_delta_hit_percent = hit_percent cdcm_inc_move in
-  (* Local search must be trajectory-identical with and without the
-     incremental evaluator: its bound threshold is an exact accept test,
-     and the analytic bound only rejects candidates the plain objective
-     would also have discarded. *)
-  let ls_identical =
-    let initial = pick 0 in
-    let run objective =
-      Mapping.Local_search.search ~objective ~tiles ~initial ()
-    in
-    let plain = run (Mapping.Objective.cdcm ~tech ~params ~crg ~cdcg ()) in
-    let inc =
-      run (Mapping.Objective.cdcm ~incremental:true ~tech ~params ~crg ~cdcg ())
-    in
-    plain.Mapping.Objective.placement = inc.Mapping.Objective.placement
-    && plain.Mapping.Objective.cost = inc.Mapping.Objective.cost
-    && plain.Mapping.Objective.evaluations = inc.Mapping.Objective.evaluations
-  in
   (* Instrumentation tax from the cleanest window of each side.  On a
      busy machine this estimate still carries several points of noise, so
      the CI gate checks it against a fixed ceiling rather than a delta
@@ -892,7 +829,7 @@ let bench_json () =
      grows with the mesh shows up in that ratio on any machine. *)
   let mesh256, cdcg256 = Nocmap_tgff.Scale.pipeline_256 () in
   let crg256 = Crg.create mesh256 in
-  let scratch256 = Wormhole.Scratch.create ~crg:crg256 cdcg256 in
+  let scratch256 = Wormhole.Scratch.create ~params ~crg:crg256 cdcg256 in
   let tiles256 = Mesh.tile_count mesh256 in
   let cores256 = Cdcg.core_count cdcg256 in
   let rng256 = Rng.create ~seed:(seed + 59) in
@@ -1049,14 +986,8 @@ let bench_json () =
   "cdcm_eval_arena_metrics_ops_per_sec": %.1f,
   "cdcm_eval_arena_cutoff_ops_per_sec": %.1f,
   "cdcm_eval_arena_cutoff_move_ops_per_sec": %.1f,
-  "cdcm_incremental_move_ops_per_sec": %.1f,
-  "cdcm_incremental_bound_ops_per_sec": %.1f,
-  "cdcm_incremental_delta_hit_percent": %.1f,
-  "cdcm_incremental_move_delta_hit_percent": %.1f,
   "cdcm_arena_speedup": %.2f,
   "cdcm_arena_cutoff_speedup": %.2f,
-  "cdcm_incremental_speedup": %.2f,
-  "cdcm_incremental_ls_identical": %b,
   "metrics_overhead_percent": %.2f,
   "cache_sa_hit_rate_percent": %.1f,
   "cache_sa_speedup": %.2f,
@@ -1092,10 +1023,8 @@ let bench_json () =
          | Experiment.Standard -> "standard"
          | Experiment.Thorough -> "thorough")
       cwm_ops cwm_inc_ops cdcm_baseline_ops cdcm_fresh_ops cdcm_arena_ops
-      cdcm_arena_metrics_ops cdcm_cutoff_ops cdcm_cutoff_move_ops
-      cdcm_inc_move_ops cdcm_inc_bound_ops
-      inc_delta_hit_percent inc_move_delta_hit_percent arena_speedup cutoff_speedup
-      incremental_speedup ls_identical metrics_overhead sa_hit_rate
+      cdcm_arena_metrics_ops cdcm_cutoff_ops cdcm_cutoff_move_ops arena_speedup
+      cutoff_speedup metrics_overhead sa_hit_rate
       (sa_plain_seconds /. Float.max sa_cached_seconds 1e-9)
       sa_identical checkpoint_overhead checkpoint_identical
       portfolio_speedup portfolio_reached decompose_quality scale_ops
@@ -1272,7 +1201,7 @@ let scale_profile () =
         Array.init 4 (fun _ ->
             Mapping.Placement.random (Rng.split rng) ~cores:pipe_cores ~tiles)
       in
-      let scratch = Wormhole.Scratch.create ~crg cdcg in
+      let scratch = Wormhole.Scratch.create ~params ~crg cdcg in
       let cdcm_ops =
         ops_per_sec (fun j ->
             ignore
@@ -1516,19 +1445,12 @@ let run_compare ~baseline_path ~current_path ~tolerance_percent =
       "cdcm_eval_seed_baseline_ops_per_sec"; "cdcm_eval_fresh_ops_per_sec";
       "cdcm_eval_arena_ops_per_sec"; "cdcm_eval_arena_metrics_ops_per_sec";
       "cdcm_eval_arena_cutoff_ops_per_sec";
-      "cdcm_eval_arena_cutoff_move_ops_per_sec";
-      "cdcm_incremental_move_ops_per_sec";
-      "cdcm_incremental_bound_ops_per_sec";
-      "cdcm_incremental_delta_hit_percent";
-      "cdcm_incremental_move_delta_hit_percent"; "suite_parallel_speedup";
+      "cdcm_eval_arena_cutoff_move_ops_per_sec"; "suite_parallel_speedup";
       "cache_sa_speedup"; "noc3d_2d_etr_percent"; "noc3d_2d_ecs_high_percent";
       "noc3d_3d_etr_percent"; "noc3d_3d_ecs_high_percent";
     ];
   gate_ratio "cdcm_arena_speedup" Higher_better;
   gate_ratio "cdcm_arena_cutoff_speedup" Higher_better;
-  gate_ratio "cdcm_incremental_speedup" Higher_better;
-  gate_baseline_floor "cdcm_incremental_speedup" 3.0;
-  gate_bool "cdcm_incremental_ls_identical";
   gate_ratio "cache_sa_hit_rate_percent" Higher_better;
   gate_ratio "cache_exhaustive_eval_fraction" Lower_better;
   gate_ceiling "metrics_overhead_percent" 30.0;

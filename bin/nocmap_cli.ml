@@ -95,12 +95,13 @@ let app_source ~path ~builtin =
   | None, Some name -> Ok (Serve.Job_spec.Builtin name)
   | None, None -> Error "pass --app FILE or --builtin NAME"
 
-(* With [mesh], the application must also fit on it. *)
-let load_app ?mesh ~path ~builtin () =
+(* With [fit = (mesh, params)], the application must also fit on the
+   mesh and within the simulator's limits under [params]. *)
+let load_app ?fit ~path ~builtin () =
   let cdcg = Result.bind (app_source ~path ~builtin) Serve.Job_spec.load_app in
-  match mesh with
+  match fit with
   | None -> cdcg
-  | Some mesh -> Result.bind cdcg (Serve.Job_spec.fit_app ~mesh)
+  | Some (mesh, params) -> Result.bind cdcg (Serve.Job_spec.fit_app ~mesh ~params)
 
 let or_die = function
   | Ok v -> v
@@ -450,24 +451,10 @@ let map_cmd =
             "Write the best-cost-vs-evaluations trace as CSV (sa, es, local \
              and greedy+local searches).")
   in
-  let incremental_arg =
-    Arg.(
-      value & flag
-      & info [ "incremental" ]
-          ~doc:
-            "Evaluate CDCM candidates incrementally: exact dynamic-energy \
-             deltas plus an analytic execution-time lower bound over the \
-             affected dependence cone reject most candidates without \
-             simulation (full re-simulation only as fallback; reported \
-             costs are bit-identical).  Implies cutoff pruning in the sa \
-             search.  Requires --model cdcm.")
-  in
   let run mesh seed flit_bits tech_name routing app builtin model algorithm
-      strategies_spec refiner_spec jobs save metrics convergence_path incremental
-      checkpoint_dir checkpoint_every =
+      strategies_spec refiner_spec jobs save metrics convergence_path checkpoint_dir
+      checkpoint_every =
     let model = or_die (Serve.Job_spec.model_of_string model) in
-    if incremental && model <> Serve.Job_spec.Cdcm then
-      or_die (Error "--incremental requires --model cdcm");
     let algorithm =
       match or_die (Serve.Job_spec.algorithm_of_string algorithm) with
       | Serve.Job_spec.Portfolio _ ->
@@ -491,7 +478,6 @@ let map_cmd =
         algorithm;
         seed;
         budget = Serve.Job_spec.Standard;
-        incremental;
         timeout_ms = None;
       }
     in
@@ -615,7 +601,7 @@ let map_cmd =
     Term.(
       const run $ mesh_arg $ seed_arg $ flit_arg $ tech_arg $ routing_arg $ app_arg
       $ builtin_arg $ model $ algorithm $ strategies_arg $ refiner_arg
-      $ jobs_arg $ save $ metrics_arg $ convergence_arg $ incremental_arg
+      $ jobs_arg $ save $ metrics_arg $ convergence_arg
       $ checkpoint_dir_arg $ checkpoint_every_arg)
 
 (* --- eval --- *)
@@ -640,9 +626,9 @@ let eval_cmd =
   in
   let run mesh flit tech_name routing app builtin placement gantt annotations hotspots =
     let tech = or_die (load_tech tech_name) in
-    let cdcg = or_die (load_app ~mesh ~path:app ~builtin ()) in
-    let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
     let params = Noc_params.make ~flit_bits:flit () in
+    let cdcg = or_die (load_app ~fit:(mesh, params) ~path:app ~builtin ()) in
+    let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
     let cores = Cdcg.core_count cdcg in
     let placement =
       match placement with
@@ -667,9 +653,9 @@ let eval_cmd =
 
 let analyze_cmd =
   let run mesh flit routing app builtin placement =
-    let cdcg = or_die (load_app ~mesh ~path:app ~builtin ()) in
-    let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
     let params = Noc_params.make ~flit_bits:flit () in
+    let cdcg = or_die (load_app ~fit:(mesh, params) ~path:app ~builtin ()) in
+    let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
     let cores = Cdcg.core_count cdcg in
     let placement =
       match placement with
@@ -777,9 +763,9 @@ let export_cmd =
       & info [ "kind" ] ~docv:"KIND" ~doc:"CSV to export: packets or links.")
   in
   let run mesh flit routing app builtin what out =
-    let cdcg = or_die (load_app ~mesh ~path:app ~builtin ()) in
-    let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
     let params = Noc_params.make ~flit_bits:flit () in
+    let cdcg = or_die (load_app ~fit:(mesh, params) ~path:app ~builtin ()) in
+    let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
     let cores = Cdcg.core_count cdcg in
     let placement = Mapping.Placement.identity ~cores in
     let trace = Nocmap_sim.Wormhole.run ~params ~crg ~placement cdcg in
@@ -854,7 +840,6 @@ let faults_cmd =
   let run mesh seed tech_name app builtin quick jobs multi_k multi_count csv metrics
       checkpoint_dir checkpoint_every =
     let tech = or_die (load_tech tech_name) in
-    let cdcg = or_die (load_app ~mesh ~path:app ~builtin ()) in
     let config =
       {
         Nocmap.Fault_campaign.default_config with
@@ -866,6 +851,8 @@ let faults_cmd =
         multi_fault_count = multi_count;
       }
     in
+    let fit = (mesh, config.experiment.Nocmap.Experiment.params) in
+    let cdcg = or_die (load_app ~fit ~path:app ~builtin ()) in
     install_stop_signals ?checkpoint_dir ();
     let journal = setup_journal ~command:"faults" checkpoint_dir checkpoint_every in
     with_metrics metrics @@ fun () ->
@@ -913,11 +900,13 @@ let profile_cmd =
   in
   let run mesh seed tech_name app builtin quick jobs format heatmap =
     let tech = or_die (load_tech tech_name) in
-    let cdcg = or_die (load_app ~mesh ~path:app ~builtin ()) in
-    let format = or_die (Obs.Sink.format_of_string format) in
     let config =
       if quick then Nocmap.Experiment.quick_config else Nocmap.Experiment.default_config
     in
+    let cdcg =
+      or_die (load_app ~fit:(mesh, config.Nocmap.Experiment.params) ~path:app ~builtin ())
+    in
+    let format = or_die (Obs.Sink.format_of_string format) in
     install_stop_signals ();
     Obs.Metrics.set_enabled true;
     let pair =

@@ -534,8 +534,7 @@ let search ~rng ~config ~crg ~cwg ~objective_for ?region_objective_for ?pool
     maybe_flush ()
   end;
   (* Phase 3: a short global polish — deterministic steepest descent
-     from the composition under the driver objective (the incremental
-     CDCM evaluator when the caller built one). *)
+     from the composition under the driver objective. *)
   let polish_result =
     match !base with
     | Some b when config.polish > 0 && not (stop ()) ->

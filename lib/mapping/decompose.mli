@@ -18,8 +18,7 @@
       are disjoint, so the refinements run in parallel on
       {!Nocmap_util.Domain_pool} domains and compose without conflicts;
     + an optional {e global polish} pass (deterministic steepest
-      descent, profiting from the incremental CDCM evaluator when the
-      caller built one) cleans up the region boundaries.
+      descent) cleans up the region boundaries.
 
     {b Determinism.}  The partition and seed assignment are pure
     functions of (CWG, mesh, config).  Each region owns a pre-split

@@ -23,47 +23,18 @@ let cwm ~tech ~crg ~cwg =
     bound_fn = None;
   }
 
-let cdcm ?(incremental = false) ~tech ~params ~crg ~cdcg () =
-  if not incremental then
-    let scratch = Wormhole.Scratch.create ~crg cdcg in
-    {
-      name = "cdcm";
-      cost_fn = (fun p -> Cost_cdcm.total_energy ~scratch ~tech ~params ~crg ~cdcg p);
-      bound_fn =
-        Some
-          (fun ~cutoff p ->
-            match Cost_cdcm.evaluate_bound ~scratch ~tech ~params ~crg ~cdcg ~cutoff p with
-            | Cost_cdcm.Exact e -> Exact e.Cost_cdcm.total
-            | Cost_cdcm.At_least b -> At_least b);
-    }
-  else begin
-    (* The evaluator anchors at the first placement it sees — which is
-       also how a checkpoint resume reconstructs it: incremental state
-       is a pure function of the placement, never serialized. *)
-    let inc = ref None in
-    let get p =
-      match !inc with
-      | Some i -> i
-      | None ->
-        let i =
-          Cost_cdcm_incremental.create ~tech ~params ~crg ~cdcg ~placement:p ()
-        in
-        inc := Some i;
-        i
-    in
-    {
-      name = "cdcm";
-      cost_fn =
-        (fun p ->
-          (Cost_cdcm_incremental.evaluate_for (get p) p).Cost_cdcm.total);
-      bound_fn =
-        Some
-          (fun ~cutoff p ->
-            match Cost_cdcm_incremental.bound_for (get p) ~cutoff p with
-            | Cost_cdcm.Exact e -> Exact e.Cost_cdcm.total
-            | Cost_cdcm.At_least b -> At_least b);
-    }
-  end
+let cdcm ~tech ~params ~crg ~cdcg () =
+  let scratch = Wormhole.Scratch.create ~params ~crg cdcg in
+  {
+    name = "cdcm";
+    cost_fn = (fun p -> Cost_cdcm.total_energy ~scratch ~tech ~params ~crg ~cdcg p);
+    bound_fn =
+      Some
+        (fun ~cutoff p ->
+          match Cost_cdcm.evaluate_bound ~scratch ~tech ~params ~crg ~cdcg ~cutoff p with
+          | Cost_cdcm.Exact e -> Exact e.Cost_cdcm.total
+          | Cost_cdcm.At_least b -> At_least b);
+  }
 
 let cdcm_expected ?fault_policy ~tech ~params ~scenarios ~cdcg () =
   if scenarios = [] then
@@ -87,7 +58,7 @@ let cdcm_expected ?fault_policy ~tech ~params ~scenarios ~cdcg () =
   in
   (* All scenario CRGs share the tile count, so one arena serves them all. *)
   let scratch =
-    Wormhole.Scratch.create ~crg:(fst (List.hd scenarios)) cdcg
+    Wormhole.Scratch.create ?fault_policy ~params ~crg:(fst (List.hd scenarios)) cdcg
   in
   let cost_fn p =
     List.fold_left
@@ -149,7 +120,7 @@ let with_cache cache t =
 let no_cutoff_threshold = 1e15
 
 let texec ~params ~crg ~cdcg =
-  let scratch = Wormhole.Scratch.create ~crg cdcg in
+  let scratch = Wormhole.Scratch.create ~params ~crg cdcg in
   {
     name = "texec";
     cost_fn =

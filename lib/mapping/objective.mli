@@ -41,7 +41,6 @@ val cwm :
 (** Equation (3): dynamic energy only.  No [bound_fn]. *)
 
 val cdcm :
-  ?incremental:bool ->
   tech:Nocmap_energy.Technology.t ->
   params:Nocmap_energy.Noc_params.t ->
   crg:Nocmap_noc.Crg.t ->
@@ -50,21 +49,7 @@ val cdcm :
   t
 (** Equation (10): static + dynamic energy via simulation.  The
     [bound_fn] converts an energy cutoff into a simulation cycle budget
-    (inverse of Equation 9) and truncates the event pump beyond it.
-
-    With [~incremental:true] both functions route through a
-    {!Cost_cdcm_incremental} evaluator anchored at the first placement
-    queried: the [bound_fn] then answers most rejections from the exact
-    dynamic-energy delta and an analytic execution-time lower bound
-    without simulating, falling back to the truncated simulation only
-    when the bound cannot decide.  Reported costs stay bit-identical to
-    the plain objective (the incremental machinery may only reject), so
-    local search returns the same placement, cost and evaluation count
-    either way; annealing additionally skips the (probability
-    [< exp(-margin)]) acceptance draws of candidates the plain bound
-    would have simulated to an exact over-cutoff cost.  Checkpoint
-    resume needs no extra state: the evaluator rebuilds itself from the
-    first queried placement. *)
+    (inverse of Equation 9) and truncates the event pump beyond it. *)
 
 val cdcm_expected :
   ?fault_policy:Nocmap_sim.Wormhole.fault_policy ->

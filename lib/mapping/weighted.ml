@@ -5,7 +5,7 @@ module Rng = Nocmap_util.Rng
 let make ~tech ~params ~crg ~cdcg ~alpha ~reference =
   if alpha < 0.0 || alpha > 1.0 then
     invalid_arg "Weighted.make: alpha must lie in [0, 1]";
-  let scratch = Nocmap_sim.Wormhole.Scratch.create ~crg cdcg in
+  let scratch = Nocmap_sim.Wormhole.Scratch.create ~params ~crg cdcg in
   let base = Cost_cdcm.evaluate ~scratch ~tech ~params ~crg ~cdcg reference in
   let e0 = Float.max base.Cost_cdcm.total epsilon_float in
   let t0 = Float.max base.Cost_cdcm.texec_ns epsilon_float in

@@ -221,7 +221,14 @@ let spans format spans_list =
   | `Json -> spans_json spans_list
   | `Csv -> spans_csv spans_list
 
+(* A counter or gauge still at zero, or a histogram without an
+   observation, recorded nothing worth a row. *)
+let recorded (s : Metrics.sample) =
+  match s.Metrics.value with
+  | Metrics.Counter v | Metrics.Gauge v -> v <> 0
+  | Metrics.Histogram { count; _ } -> count > 0
+
 let report format =
-  let m = metrics format (Metrics.snapshot ()) in
+  let m = metrics format (List.filter recorded (Metrics.snapshot ())) in
   let t = Timer.tree () in
   if t = [] then m else m ^ spans format t

@@ -31,4 +31,6 @@ val spans : format -> Timer.span list -> string
 
 val report : format -> string
 (** The full observability report: current {!Metrics.snapshot} plus the
-    calling domain's {!Timer.tree}, each rendered with [format]. *)
+    calling domain's {!Timer.tree}, each rendered with [format].  Metrics
+    that recorded nothing (counters and gauges at zero, histograms
+    without an observation) are left out. *)

@@ -1,6 +1,7 @@
 module Mesh = Nocmap_noc.Mesh
 module Routing = Nocmap_noc.Routing
 module Technology = Nocmap_energy.Technology
+module Noc_params = Nocmap_energy.Noc_params
 module Cdcg = Nocmap_model.Cdcg
 module Textio = Nocmap_model.Textio
 module Json = Nocmap_persist.Json
@@ -39,7 +40,6 @@ type t = {
   algorithm : algorithm;
   seed : int;
   budget : budget;
-  incremental : bool;
   timeout_ms : int option;
 }
 
@@ -133,7 +133,6 @@ let to_json t =
     @ [
        ("seed", Json.Int t.seed);
        ("budget", Json.Str (budget_to_string t.budget));
-       ("incremental", Json.Bool t.incremental);
      ]
     @
     match t.timeout_ms with
@@ -161,12 +160,6 @@ let int_field ~default j name =
   match Json.find name j with
   | Some (Json.Int i) -> Ok i
   | Some _ -> Error (Printf.sprintf "field %S: expected an integer" name)
-  | None -> Ok default
-
-let bool_field ~default j name =
-  match Json.find name j with
-  | Some (Json.Bool b) -> Ok b
-  | Some _ -> Error (Printf.sprintf "field %S: expected a boolean" name)
   | None -> Ok default
 
 let parse_app j =
@@ -291,12 +284,6 @@ let of_json j =
     let* seed = int_field ~default:1 j "seed" in
     let* budget_s = str_field ~default:"standard" j "budget" in
     let* budget = budget_of_string budget_s in
-    let* incremental = bool_field ~default:false j "incremental" in
-    let* () =
-      if incremental && model <> Cdcm then
-        Error "field \"incremental\": requires \"model\": \"cdcm\""
-      else Ok ()
-    in
     let* timeout_ms =
       match Json.find "timeout_ms" j with
       | None | Some Json.Null -> Ok None
@@ -317,7 +304,6 @@ let of_json j =
         algorithm;
         seed;
         budget;
-        incremental;
         timeout_ms;
       }
   | _ -> Error "job spec must be a JSON object"
@@ -345,12 +331,16 @@ let load_app = function
   | Path path -> Textio.load_cdcg ~path
   | Inline text -> Textio.cdcg_of_string text
 
-let fit_app ~mesh cdcg =
+let fit_app ~mesh ~params cdcg =
   let cores = Cdcg.core_count cdcg in
   if cores > Mesh.tile_count mesh then
     Error (Printf.sprintf "%d cores do not fit on %s" cores (Mesh.to_string mesh))
-  else Ok cdcg
+  else
+    Nocmap_sim.Wormhole.check_limits ~params ~mesh cdcg |> Result.map (fun () -> cdcg)
 
-let resolve_app t = Result.bind (load_app t.app) (fit_app ~mesh:t.mesh)
+let params t = Noc_params.make ~flit_bits:t.flit_bits ()
+
+let resolve_app t =
+  Result.bind (load_app t.app) (fit_app ~mesh:t.mesh ~params:(params t))
 
 let fingerprint t = Json.to_string (to_json t)

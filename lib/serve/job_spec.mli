@@ -49,7 +49,6 @@ type t = {
   algorithm : algorithm;
   seed : int;
   budget : budget;
-  incremental : bool;  (** CDCM incremental evaluation (requires [Cdcm]). *)
   timeout_ms : int option;
       (** Per-job wall-clock deadline; [None] means no deadline. *)
 }
@@ -65,8 +64,9 @@ val to_json : t -> Nocmap_persist.Json.t
 val of_json : Nocmap_persist.Json.t -> (t, string) result
 (** Validates field-by-field with defaults: noc ["3x3"], routing
     ["xy"], tech ["0.07um"], flit [16], model ["cdcm"], algorithm
-    ["sa"], seed [1], budget ["standard"], incremental [false], no
-    timeout.  Never raises. *)
+    ["sa"], seed [1], budget ["standard"], no timeout.  Fields it
+    does not know are ignored, so records written by older releases
+    (which carried an ["incremental"] flag) still parse.  Never raises. *)
 
 val of_string : string -> (t, string) result
 (** {!of_json} after JSON parsing, with a 1 MiB size guard.  Never
@@ -85,12 +85,22 @@ val load_app : app -> (Nocmap_model.Cdcg.t, string) result
     path-prefixed) or inline parse.  Never raises. *)
 
 val fit_app :
-  mesh:Nocmap_noc.Mesh.t -> Nocmap_model.Cdcg.t -> (Nocmap_model.Cdcg.t, string) result
+  mesh:Nocmap_noc.Mesh.t ->
+  params:Nocmap_energy.Noc_params.t ->
+  Nocmap_model.Cdcg.t ->
+  (Nocmap_model.Cdcg.t, string) result
 (** [Error] naming both sizes when the application has more cores than
-    [mesh] has tiles. *)
+    [mesh] has tiles, or naming the limit when a simulation under
+    [params] could exceed the simulator's encoding limits
+    ({!Nocmap_sim.Wormhole.check_limits}). *)
+
+val params : t -> Nocmap_energy.Noc_params.t
+(** The NoC timing the spec runs under: the paper's timing with the
+    spec's flit width. *)
 
 val resolve_app : t -> (Nocmap_model.Cdcg.t, string) result
-(** {!load_app}, then {!fit_app} on the spec's mesh.  Never raises. *)
+(** {!load_app}, then {!fit_app} on the spec's mesh and {!params}.
+    Never raises. *)
 
 val fingerprint : t -> string
 (** Deterministic serialization of the full spec, used as the

@@ -46,20 +46,10 @@ let parallel : Job_spec.algorithm -> bool = function
 (* The one per-budget configuration table. *)
 let quick (spec : Job_spec.t) = spec.budget = Job_spec.Quick
 
-(* Without a prune margin the annealer never consults the bound
-   function, so the incremental evaluator would have nothing to reject;
-   the margin matches Experiment's standard configs. *)
-let sa_config spec ~tiles =
-  let c =
-    if quick spec then Mapping.Annealing.quick_config ~tiles
-    else Mapping.Annealing.default_config ~tiles
-  in
-  if spec.incremental then { c with Mapping.Annealing.prune = Some 20.0 } else c
-
 (* A shared cache serves every sequential run of one (application, mesh,
-   routing, model, tech, flit, incremental, core-count) shape.  The
-   application enters as a digest of its CDCG text, so runs over
-   different apps of the same size never read each other's costs. *)
+   routing, model, tech, flit, core-count) shape.  The application
+   enters as a digest of its CDCG text, so runs over different apps of
+   the same size never read each other's costs. *)
 let shared_cache table (spec : Job_spec.t) ~cdcg ~cores ~symmetry =
   let discriminator =
     String.concat "|"
@@ -69,7 +59,6 @@ let shared_cache table (spec : Job_spec.t) ~cdcg ~cores ~symmetry =
         spec.tech.Nocmap_energy.Technology.name;
         string_of_int spec.flit_bits;
         Nocmap_noc.Routing.algorithm_to_string spec.routing;
-        string_of_bool spec.incremental;
       ]
   in
   let key = Printf.sprintf "%s|%s|%d" (Mesh.to_string spec.mesh) discriminator cores in
@@ -85,7 +74,7 @@ let execute ?journal ?pool ?convergence ~stop ~cache (spec : Job_spec.t) =
   |> Result.map @@ fun cdcg ->
      let tech = spec.tech in
      let crg = Crg.create ~routing:spec.routing spec.mesh in
-     let params = Nocmap_energy.Noc_params.make ~flit_bits:spec.flit_bits () in
+     let params = Job_spec.params spec in
      let cwg = Nocmap_model.Cwg.of_cdcg cdcg in
      let tiles = Mesh.tile_count spec.mesh in
      let cores = Cdcg.core_count cdcg in
@@ -94,8 +83,7 @@ let execute ?journal ?pool ?convergence ~stop ~cache (spec : Job_spec.t) =
      let base () =
        match spec.model with
        | Job_spec.Cwm -> Objective.cwm ~tech ~crg ~cwg
-       | Job_spec.Cdcm ->
-         Objective.cdcm ~incremental:spec.incremental ~tech ~params ~crg ~cdcg ()
+       | Job_spec.Cdcm -> Objective.cdcm ~tech ~params ~crg ~cdcg ()
      in
      let cached c = Objective.with_cache c (base ()) in
      (* CWM only reads per-pair hop counts, so it may use the larger
@@ -147,9 +135,12 @@ let execute ?journal ?pool ?convergence ~stop ~cache (spec : Job_spec.t) =
      let result, report =
        match spec.algorithm with
        | Job_spec.Sa ->
-         ( Mapping.Search_persist.annealing ?journal ~rng
-             ~config:(sa_config spec ~tiles) ~tiles ~objective:(objective ()) ~stop
-             ?convergence ~cores (),
+         let config =
+           if quick spec then Mapping.Annealing.quick_config ~tiles
+           else Mapping.Annealing.default_config ~tiles
+         in
+         ( Mapping.Search_persist.annealing ?journal ~rng ~config ~tiles
+             ~objective:(objective ()) ~stop ?convergence ~cores (),
            Plain )
        | Job_spec.Local -> (local_search (Mapping.Placement.random rng ~cores ~tiles), Plain)
        | Job_spec.Greedy_local ->

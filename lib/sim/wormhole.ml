@@ -99,6 +99,53 @@ let waiting_arrival w = w lsr (key_bits + hop_bits)
 let waiting_packet w = (w lsr hop_bits) land key_mask
 let waiting_hop w = w land hop_mask
 
+(* Saturating arithmetic on non-negative ints for the bound below. *)
+let sat_add a b = if a > max_int - b then max_int else a + b
+let sat_mul a b = if a <> 0 && b > max_int / a then max_int else a * b
+
+(* A ceiling on every event time of any run of [cdcg] on [mesh].  At
+   each cycle before the last delivery or drop some packet is
+   computing, injecting, retrying or being served on a port: a packet
+   waiting for a port (or for a dependence) waits on another packet,
+   and following those waits ends at one of these activities.  So the
+   makespan is at most the sum of their lengths.  A route visits at
+   most [min tiles max_hops] routers, each costing [tr + flits*tl]
+   (one grant per hop, the delivery tail at the last); [bits /
+   flit_bits + 1] over-counts the flits without overflowing.  Every
+   scheduled event lies at or before its packet's delivery. *)
+let event_time_bound ?(fault_policy = default_fault_policy) ~params ~mesh
+    (cdcg : Cdcg.t) =
+  let routers = min (Mesh.tile_count mesh) max_hops in
+  let tr = params.Noc_params.tr and tl = params.Noc_params.tl in
+  let retry = sat_mul fault_policy.max_retries fault_policy.retry_backoff in
+  Array.fold_left
+    (fun acc (p : Cdcg.packet) ->
+      let flits = (p.bits / params.Noc_params.flit_bits) + 1 in
+      let hop = sat_add tr (sat_mul flits tl) in
+      sat_add acc
+        (sat_add p.compute (sat_add retry (sat_add tl (sat_mul routers hop)))))
+    0 cdcg.Cdcg.packets
+
+let check_limits ?fault_policy ~params ~mesh (cdcg : Cdcg.t) =
+  let packets = Cdcg.packet_count cdcg and slots = Link.slot_count mesh in
+  if packets > max_key then
+    Error
+      (Printf.sprintf "%d packets exceed the simulator's %d-packet limit" packets
+         max_key)
+  else if slots > max_key then
+    Error
+      (Printf.sprintf "%s has %d link slots, beyond the simulator's %d-slot limit"
+         (Mesh.to_string mesh) slots max_key)
+  else
+    let bound = event_time_bound ?fault_policy ~params ~mesh cdcg in
+    if bound > max_time then
+      Error
+        (Printf.sprintf
+           "simulated time could reach %d cycles, beyond the simulator's \
+            %d-cycle limit (lower the compute times or bit volumes)"
+           bound max_time)
+    else Ok ()
+
 (* Per-packet mutable simulation state, reused across runs. *)
 type packet_state = {
   mutable path : Crg.path;
@@ -132,6 +179,7 @@ module Scratch = struct
     mutable dep_graph_for : Cdcg.t;
     mutable successors : int array array;         (* per packet *)
     mutable start_packets : int array;            (* no dependences *)
+    mutable limits_for : Cdcg.t * Noc_params.t * fault_policy;
   }
 
   let build_dep_graph (cdcg : Cdcg.t) =
@@ -164,23 +212,32 @@ module Scratch = struct
       t.dep_graph_for <- cdcg
     end
 
-  let create ~crg (cdcg : Cdcg.t) =
+  (* [limits_for] is the (CDCG, params, policy) triple the encoding
+     limits were last checked for; a run with another re-checks. *)
+  let admit t ~params ~policy mesh (cdcg : Cdcg.t) =
+    let c, p, f = t.limits_for in
+    if not (c == cdcg && p == params && f == policy) then begin
+      (match check_limits ~fault_policy:policy ~params ~mesh cdcg with
+      | Ok () -> ()
+      | Error msg -> invalid_arg ("Wormhole: " ^ msg));
+      t.limits_for <- (cdcg, params, policy)
+    end
+
+  let create ?(fault_policy = default_fault_policy) ~params ~crg (cdcg : Cdcg.t) =
     let mesh = Crg.mesh crg in
+    (match check_limits ~fault_policy ~params ~mesh cdcg with
+    | Ok () -> ()
+    | Error msg -> invalid_arg ("Wormhole.Scratch.create: " ^ msg));
     let tiles = Mesh.tile_count mesh in
     let slots = Link.slot_count mesh in
     let packets = Cdcg.packet_count cdcg in
-    if packets > max_key || slots > max_key then
-      invalid_arg
-        (Printf.sprintf
-           "Wormhole.Scratch.create: instance too large (%d packets, %d link \
-            slots; both must be <= %d)"
-           packets slots max_key);
     let dummy_path = Crg.path crg ~src:0 ~dst:0 in
     let successors, start_packets = build_dep_graph cdcg in
     {
       tiles;
       slots;
       dep_graph_for = cdcg;
+      limits_for = (cdcg, params, fault_policy);
       successors;
       start_packets;
       states =
@@ -326,6 +383,7 @@ let run_core ~trace ~params ~crg ~placement ~(scratch : Scratch.t) ~cutoff ~poli
     || s.Scratch.slots <> Link.slot_count mesh
     || s.Scratch.tiles <> tiles
   then invalid_arg "Wormhole.run: scratch was sized for a different instance";
+  Scratch.admit s ~params ~policy mesh cdcg;
   (match meter with
   | Some m ->
     if m.Meter.mesh_slots <> s.Scratch.slots || m.Meter.mesh_tiles <> tiles then
@@ -565,10 +623,10 @@ let count_outcomes states =
     states;
   (!delivered, !dropped, !retries)
 
-let with_scratch ~scratch ~crg cdcg f =
+let with_scratch ~scratch ~fault_policy ~params ~crg cdcg f =
   match scratch with
   | Some s -> f s
-  | None -> f (Scratch.create ~crg cdcg)
+  | None -> f (Scratch.create ~fault_policy ~params ~crg cdcg)
 
 (* Flushed once per simulation from the already-computed aggregates, so
    enabling metrics adds no work to the event pump itself. *)
@@ -583,7 +641,7 @@ let flush_outcome ~delivered ~dropped ~retries ~contention ~texec =
 
 let run ?(trace = true) ?scratch ?cutoff ?(fault_policy = default_fault_policy) ?meter
     ~params ~crg ~placement (cdcg : Cdcg.t) =
-  with_scratch ~scratch ~crg cdcg (fun scratch ->
+  with_scratch ~scratch ~fault_policy ~params ~crg cdcg (fun scratch ->
       let cutoff = Option.value cutoff ~default:max_int in
       let status =
         run_core ~trace ~params ~crg ~placement ~scratch ~cutoff ~policy:fault_policy
@@ -656,7 +714,7 @@ type summary = {
 
 let run_summary ?scratch ?cutoff ?(fault_policy = default_fault_policy) ?meter ~params
     ~crg ~placement (cdcg : Cdcg.t) =
-  with_scratch ~scratch ~crg cdcg (fun scratch ->
+  with_scratch ~scratch ~fault_policy ~params ~crg cdcg (fun scratch ->
       let cutoff = Option.value cutoff ~default:max_int in
       let status =
         run_core ~trace:false ~params ~crg ~placement ~scratch ~cutoff

@@ -45,6 +45,30 @@ type fault_policy = {
 val default_fault_policy : fault_policy
 (** 3 retries, 16 cycles apart. *)
 
+val event_time_bound :
+  ?fault_policy:fault_policy ->
+  params:Nocmap_energy.Noc_params.t ->
+  mesh:Nocmap_noc.Mesh.t ->
+  Nocmap_model.Cdcg.t ->
+  int
+(** A ceiling, in cycles, on the execution time and on every event time
+    of any run of the CDCG on any CRG over [mesh], whatever the
+    placement, routing, faults or buffering: the sum over packets of
+    [compute], the retry budget, one [tl] and
+    [min tiles 256 * (tr + flits * tl)].  Saturates at [max_int]. *)
+
+val check_limits :
+  ?fault_policy:fault_policy ->
+  params:Nocmap_energy.Noc_params.t ->
+  mesh:Nocmap_noc.Mesh.t ->
+  Nocmap_model.Cdcg.t ->
+  (unit, string) result
+(** [Ok ()] when every run of the CDCG on [mesh] fits the packed-event
+    encoding: at most 65535 packets, at most 65535 link slots, and an
+    {!event_time_bound} of at most [2^37 - 1] cycles.  Otherwise an
+    [Error] naming the limit.  (Routes longer than 256 routers are
+    rejected per run, since they depend on the CRG.) *)
+
 (** Reusable simulation arena.
 
     One evaluation of the CDCM objective is one wormhole simulation;
@@ -59,12 +83,17 @@ val default_fault_policy : fault_policy
 module Scratch : sig
   type t
 
-  val create : crg:Nocmap_noc.Crg.t -> Nocmap_model.Cdcg.t -> t
-  (** [create ~crg cdcg] sizes an arena for simulating [cdcg] (or any
-      CDCG with the same packet count) on [crg] (or any CRG with the
-      same tile count).
-      @raise Invalid_argument when the instance exceeds the packed-event
-      encoding limits (65535 packets or link slots). *)
+  val create :
+    ?fault_policy:fault_policy ->
+    params:Nocmap_energy.Noc_params.t ->
+    crg:Nocmap_noc.Crg.t ->
+    Nocmap_model.Cdcg.t ->
+    t
+  (** [create ~params ~crg cdcg] sizes an arena for simulating [cdcg]
+      (or any CDCG with the same packet count) on [crg] (or any CRG with
+      the same tile count).  A run under other params, fault policy or
+      CDCG re-checks {!check_limits} before it schedules any event.
+      @raise Invalid_argument when {!check_limits} fails. *)
 end
 
 (** Spatial accumulator for heatmaps.
@@ -147,8 +176,8 @@ val run :
     results are bit-identical with metrics on or off.
 
     @raise Invalid_argument on an ill-formed placement, a scratch or
-    meter sized for a different instance, or a negative fault-policy
-    field.
+    meter sized for a different instance, a negative fault-policy
+    field, or an instance beyond {!check_limits}.
     @raise Deadlock when bounded buffering deadlocks. *)
 
 type summary = {

@@ -12,8 +12,10 @@
 #
 # Two further checks ride along.  CLI/serve parity: one standard-budget
 # job per algorithm through the daemon must place every core on the
-# same tile as `nocmap map` with the same spec.  Hostile flags: bad
-# --noc/--flit values must be usage errors, never an uncaught exception.
+# same tile as `nocmap map` with the same spec.  Hostile inputs: bad
+# --noc/--flit values and an application whose simulated time would
+# overflow the simulator must be usage errors, never an uncaught
+# exception.
 set -eu
 
 CLI=${NOCMAP_CLI:-./_build/default/bin/nocmap_cli.exe}
@@ -108,9 +110,14 @@ for alg in $algs; do
   fi
 done
 
-# Hostile flags: a usage error (non-zero exit), never an internal error.
+# Hostile inputs: a usage error (non-zero exit), never an internal error.
+# The last application's simulated time could overflow the simulator's
+# event encoding.
+printf 'application big\ncores a b\npacket p0 a -> b compute 200000000000 bits 16\n' \
+  >"$DIR/big.cdcg"
 for args in "map --noc 3xq --builtin fft8" "profile --noc 0x3 --builtin fft8" \
-  "map --noc 3x3 --builtin fft8 --flit 0"; do
+  "map --noc 3x3 --builtin fft8 --flit 0" \
+  "map --noc 2x1 --model cdcm --app $DIR/big.cdcg"; do
   # shellcheck disable=SC2086 # word-splitting the argument list is intended
   if "$CLI" $args >/dev/null 2>"$DIR/hostile.err"; then
     echo "serve-smoke: 'nocmap $args' exited 0" >&2

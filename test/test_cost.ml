@@ -85,7 +85,7 @@ let test_objectives () =
 
 let test_evaluate_bound () =
   let cdcg = Fig1.cdcg in
-  let scratch = Nocmap_sim.Wormhole.Scratch.create ~crg cdcg in
+  let scratch = Nocmap_sim.Wormhole.Scratch.create ~params ~crg cdcg in
   let evaluate p =
     Mapping.Cost_cdcm.evaluate ~scratch ~tech ~params ~crg ~cdcg p
   in

@@ -1,8 +1,8 @@
 (* Differential properties: independent implementations of the same
    quantity must agree.  Scratch-arena simulation vs fresh allocation,
    metrics-enabled vs metrics-disabled runs, the analytic critical path
-   vs the simulator on contention-free traffic, and pruned vs unpruned
-   search objectives. *)
+   vs the simulator on contention-free traffic, pruned vs unpruned
+   search objectives, and the simulator vs its event-time bound. *)
 
 module Metrics = Nocmap_obs.Metrics
 module Mesh = Nocmap_noc.Mesh
@@ -42,7 +42,7 @@ let prop_scratch_equals_fresh =
   QCheck2.Test.make ~name:"scratch arena run equals fresh-allocation run"
     ~count:(Test_util.prop_count 100) gen_scenario (fun (mesh, cdcg, placement) ->
       let crg = Crg.create mesh in
-      let scratch = Wormhole.Scratch.create ~crg cdcg in
+      let scratch = Wormhole.Scratch.create ~params ~crg cdcg in
       let fresh = Wormhole.run_summary ~params ~crg ~placement cdcg in
       let reused = Wormhole.run_summary ~scratch ~params ~crg ~placement cdcg in
       (* Run the scratch twice: reset bugs would show on the second use. *)
@@ -142,21 +142,22 @@ let prop_local_search_prune_lossless =
       pruned.Mapping.Objective.placement = exact.Mapping.Objective.placement
       && pruned.Mapping.Objective.cost = exact.Mapping.Objective.cost)
 
-(* --- Incremental CDCM vs fresh evaluation --- *)
+(* --- The event-time bound vs the simulator --- *)
 
 module Fault = Nocmap_noc.Fault
-module Cost_cdcm = Mapping.Cost_cdcm
-module Inc = Mapping.Cost_cdcm_incremental
 
 (* Like [gen_scenario], but half the scenarios run on a CRG with a
-   failed link, exercising the severed/cascade-drop accounting of the
-   incremental evaluator. *)
-let gen_cdcm_scenario =
+   failed link (severed routes spend the retry budget), and the timing
+   and buffering vary. *)
+let gen_timed_scenario =
   QCheck2.Gen.(
     let* seed = int_range 0 1_000_000 in
     let* cols = int_range 2 4 in
     let* rows = int_range 2 3 in
     let* faulty = bool in
+    let* tr = int_range 1 3 in
+    let* tl = int_range 1 3 in
+    let* capacity = opt (int_range 1 4) in
     let mesh = Mesh.create ~cols ~rows in
     let tiles = Mesh.tile_count mesh in
     let rng = Rng.create ~seed in
@@ -170,77 +171,52 @@ let gen_cdcm_scenario =
     let* cores = int_range 2 (min 7 tiles) in
     let* packets = int_range 1 30 in
     let spec =
-      Generator.default_spec ~name:"cdcm-diff" ~cores ~packets
+      Generator.default_spec ~name:"bound-diff" ~cores ~packets
         ~total_bits:(max packets (packets * 60))
     in
     let cdcg = Generator.generate rng spec in
     let placement = Mapping.Placement.random rng ~cores ~tiles in
-    return (crg, cdcg, placement, seed))
+    let buffering = Option.map (fun c -> Noc_params.Bounded c) capacity in
+    let params = Noc_params.make ~tr ~tl ~flit_bits:8 ?buffering () in
+    return (crg, cdcg, placement, params))
 
-let prop_cdcm_incremental_matches_fresh =
-  (* A random walk of single-move bound queries: every [Exact] verdict
-     is bit-identical to a fresh evaluation, every [At_least] stays at
-     or below the true cost, and after each accepted move the memoized
-     cost equals a fresh evaluation of the new anchor. *)
-  QCheck2.Test.make
-    ~name:"incremental CDCM walk agrees with fresh evaluation"
-    ~count:(Test_util.prop_count 15) gen_cdcm_scenario
-    (fun (crg, cdcg, placement, seed) ->
-      let tech = Technology.t007 in
-      let tiles = Crg.tile_count crg in
-      let cores = Cdcg.core_count cdcg in
-      let fresh p = Cost_cdcm.evaluate ~tech ~params ~crg ~cdcg p in
-      let rng = Rng.create ~seed:(seed + 7) in
-      let inc = Inc.create ~tech ~params ~crg ~cdcg ~placement () in
-      let ok = ref true in
-      for _ = 1 to 25 do
-        let core = Rng.int rng cores and tile = Rng.int rng tiles in
-        let cur = Inc.placement inc in
-        let cand = Array.copy cur in
-        cand.(core) <- tile;
-        Array.iteri
-          (fun c t -> if c <> core && t = tile then cand.(c) <- cur.(core))
-          cur;
-        let truth = fresh cand in
-        let cutoff =
-          match Rng.int rng 3 with
-          | 0 -> infinity
-          | 1 -> Inc.cost inc
-          | _ -> truth.Cost_cdcm.total *. 0.9
-        in
-        (match Inc.move_bound inc ~core ~tile ~cutoff with
-        | Cost_cdcm.Exact ev -> ok := !ok && ev = truth
-        | Cost_cdcm.At_least lb ->
-          ok := !ok && lb <= truth.Cost_cdcm.total && lb >= cutoff);
-        if Rng.int rng 5 < 3 then begin
-          Inc.apply_move inc ~core ~tile;
-          ok := !ok && Inc.cost inc = truth.Cost_cdcm.total
-        end
-      done;
-      let s = Inc.stats inc in
-      !ok && s.Inc.queries = s.Inc.delta_hits + s.Inc.full_sim_fallbacks)
+(* A dependence chain on a 2x1 mesh serializes every activity, so the
+   bound is the simulated time plus fixed per-packet slack: each packet
+   simulates to [compute + tl + (tr + tl) + (tr + flits*tl)] = 114
+   cycles, and the bound charges [compute + retries*backoff + tl +
+   2*(tr + (bits/flit_bits + 1)*tl)] = 171. *)
+let test_event_time_bound_of_a_chain () =
+  let cdcg =
+    match
+      Nocmap_model.Textio.cdcg_of_string
+        "application chain\n\
+         cores a b\n\
+         packet p0 a -> b compute 100 bits 64\n\
+         packet p1 b -> a compute 100 bits 64\n\
+         packet p2 a -> b compute 100 bits 64\n\
+         dep p0 -> p1\n\
+         dep p1 -> p2\n"
+    with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  let mesh = Mesh.create ~cols:2 ~rows:1 in
+  let crg = Crg.create mesh in
+  Alcotest.(check int) "simulated" (3 * 114)
+    (Wormhole.texec_cycles ~params ~crg ~placement:[| 0; 1 |] cdcg);
+  Alcotest.(check int) "bound" (3 * 171) (Wormhole.event_time_bound ~params ~mesh cdcg);
+  Alcotest.(check bool) "within the limits" true
+    (Wormhole.check_limits ~params ~mesh cdcg = Ok ())
 
-let prop_cdcm_incremental_ls_identical =
-  (* Local search consumes bound verdicts in a fixed candidate order
-     and re-anchors only at accepted candidates, so the incremental
-     objective must retrace the plain objective exactly. *)
+let prop_texec_within_event_time_bound =
   QCheck2.Test.make
-    ~name:"local search trajectory is identical with incremental CDCM"
-    ~count:(Test_util.prop_count 10) gen_cdcm_scenario
-    (fun (crg, cdcg, placement, _) ->
-      let tiles = Crg.tile_count crg in
-      let run incremental =
-        let objective =
-          Mapping.Objective.cdcm ~tech:Technology.t007 ~params ~crg ~cdcg
-            ~incremental ()
-        in
-        Mapping.Local_search.search ~objective ~tiles ~initial:placement ()
-      in
-      let plain = run false and inc = run true in
-      plain.Mapping.Objective.placement = inc.Mapping.Objective.placement
-      && plain.Mapping.Objective.cost = inc.Mapping.Objective.cost
-      && plain.Mapping.Objective.evaluations
-         = inc.Mapping.Objective.evaluations)
+    ~name:"simulated texec never exceeds the event-time bound"
+    ~count:(Test_util.prop_count 40) gen_timed_scenario
+    (fun (crg, cdcg, placement, params) ->
+      let bound = Wormhole.event_time_bound ~params ~mesh:(Crg.mesh crg) cdcg in
+      match Wormhole.texec_cycles ~params ~crg ~placement cdcg with
+      | texec -> texec <= bound
+      | exception Wormhole.Deadlock _ -> true)
 
 let suite =
   ( "differential",
@@ -252,6 +228,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_analytic_is_lower_bound;
       QCheck_alcotest.to_alcotest prop_pruned_sa_cost_consistent;
       QCheck_alcotest.to_alcotest prop_local_search_prune_lossless;
-      QCheck_alcotest.to_alcotest prop_cdcm_incremental_matches_fresh;
-      QCheck_alcotest.to_alcotest prop_cdcm_incremental_ls_identical;
+      Alcotest.test_case "event-time bound of a chain" `Quick
+        test_event_time_bound_of_a_chain;
+      QCheck_alcotest.to_alcotest prop_texec_within_event_time_bound;
     ] )

@@ -246,7 +246,7 @@ let test_fault_policy () =
 let test_scratch_matches_fresh_under_faults () =
   let crg = severed_crg () in
   let placement = [| 0; 1; 2 |] in
-  let scratch = Wormhole.Scratch.create ~crg abc_cdcg in
+  let scratch = Wormhole.Scratch.create ~params ~crg abc_cdcg in
   let fresh = Wormhole.run_summary ~params ~crg ~placement abc_cdcg in
   let first = Wormhole.run_summary ~scratch ~params ~crg ~placement abc_cdcg in
   let second = Wormhole.run_summary ~scratch ~params ~crg ~placement abc_cdcg in

@@ -1,7 +1,7 @@
 (* The 3-D (stacked-mesh) generalization: tile numbering and parsing,
    TSV link slots and routing, the four-term TSV energy split, 3-D
    automorphism groups and cost invariance under them, per-layer fault
-   scenarios, incremental-evaluator agreement on stacked meshes, and the
+   scenarios, incremental CWM agreement on stacked meshes, and the
    planar differential (a CxRx1 mesh is the CxR mesh, bit for bit). *)
 
 module Mesh = Nocmap_noc.Mesh
@@ -116,7 +116,13 @@ let test_crg_tsv () =
   Alcotest.(check int) "self" 0 (Crg.tsv_links_on_path crg ~src:t0 ~dst:t0);
   let planar = Crg.create (Mesh.create ~cols:3 ~rows:3) in
   Alcotest.(check int) "planar CRG always reports 0" 0
-    (Crg.tsv_links_on_path planar ~src:0 ~dst:8)
+    (Crg.tsv_links_on_path planar ~src:0 ~dst:8);
+  (* A failed planar link on a 3x1x2 stack reroutes 0 -> 1 up through
+     layer 1 and back down: two TSV hops on a two-layer mesh. *)
+  let stack = Mesh.create3 ~cols:3 ~rows:1 ~layers:2 in
+  let faults = Fault.make ~links:[ Link.id stack ~src:0 ~dst:1 ] stack in
+  Alcotest.(check int) "reroute climbs and descends" 2
+    (Crg.tsv_links_on_path (Crg.create ~faults stack) ~src:0 ~dst:1)
 
 (* --- TSV energy --- *)
 
@@ -306,7 +312,7 @@ let prop_faulty_cdcm_invariant_3d =
           e.Mapping.Cost_cdcm.total = reference.Mapping.Cost_cdcm.total)
         (Symmetry.perms sym))
 
-(* --- incremental evaluators on stacked meshes --- *)
+(* --- the incremental CWM evaluator on stacked meshes --- *)
 
 let test_cwm_incremental_3d () =
   let crg = Crg.create mesh332 in
@@ -333,49 +339,6 @@ let test_cwm_incremental_3d () =
     Alcotest.(check (float 1e-18)) "delta consistent" (before +. delta)
       (Mapping.Cost_cwm_incremental.cost inc)
   done
-
-let test_cdcm_incremental_3d () =
-  (* The incremental CDCM objective must agree bitwise with the plain
-     one on a stacked mesh — this exercises the TSV-major ebit table. *)
-  let crg = Crg.create mesh222 in
-  let tiles = Crg.tile_count crg in
-  let rng = Rng.create ~seed:23 in
-  let spec =
-    Generator.default_spec ~name:"cdcm3d" ~cores:6 ~packets:40
-      ~total_bits:12_000
-  in
-  let cdcg = Generator.generate (Rng.split rng) spec in
-  let tech = Technology.t013 in
-  let plain = Mapping.Objective.cdcm ~tech ~params ~crg ~cdcg () in
-  let inc =
-    Mapping.Objective.cdcm ~incremental:true ~tech ~params ~crg ~cdcg ()
-  in
-  for _ = 1 to 60 do
-    let p = Mapping.Placement.random (Rng.split rng) ~cores:6 ~tiles in
-    Alcotest.(check (float 0.)) "incremental = plain, bitwise"
-      (plain.Mapping.Objective.cost_fn p)
-      (inc.Mapping.Objective.cost_fn p)
-  done
-
-(* A failed planar link on a 3x1x2 stack reroutes 0 -> 1 up through
-   layer 1 and back down: two TSV hops on a two-layer mesh.  The
-   incremental evaluator's energy table must reach that class. *)
-let test_cdcm_incremental_two_tsv_reroute () =
-  let mesh = Mesh.create3 ~cols:3 ~rows:1 ~layers:2 in
-  let faults = Fault.make ~links:[ Link.id mesh ~src:0 ~dst:1 ] mesh in
-  let crg = Crg.create ~faults mesh in
-  Alcotest.(check int) "reroute climbs and descends" 2
-    (Crg.tsv_links_on_path crg ~src:0 ~dst:1);
-  let cdcg = Nocmap_apps.Fig1.cdcg in
-  let tech = Technology.t007 in
-  let plain = Mapping.Objective.cdcm ~tech ~params ~crg ~cdcg () in
-  let inc = Mapping.Objective.cdcm ~incremental:true ~tech ~params ~crg ~cdcg () in
-  List.iter
-    (fun p ->
-      Alcotest.(check (float 0.)) "incremental = plain, bitwise"
-        (plain.Mapping.Objective.cost_fn p)
-        (inc.Mapping.Objective.cost_fn p))
-    [ [| 0; 1; 2; 3 |]; [| 1; 0; 2; 3 |]; [| 3; 4; 0; 1 |] ]
 
 (* --- per-layer faults --- *)
 
@@ -479,10 +442,6 @@ let suite =
         test_hop_exactness_is_tsv_aware;
       Alcotest.test_case "CWM incremental on a stacked mesh" `Quick
         test_cwm_incremental_3d;
-      Alcotest.test_case "CDCM incremental on a stacked mesh" `Quick
-        test_cdcm_incremental_3d;
-      Alcotest.test_case "CDCM incremental on a two-TSV reroute" `Quick
-        test_cdcm_incremental_two_tsv_reroute;
       Alcotest.test_case "per-layer fault scenarios" `Quick test_fault_layers;
       Alcotest.test_case "searches run on stacked meshes" `Quick
         test_search_3d_smoke;

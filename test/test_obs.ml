@@ -186,6 +186,38 @@ let test_sink_spans () =
   let table = Sink.spans `Table (Timer.tree ()) in
   Test_util.check_contains ~msg:"indented child" ~needle:"  b" table
 
+(* An SA-only run touches the simulator and the annealer; the serve,
+   portfolio, decompose and persist metrics stay at zero and must not
+   appear in the report, in any format. *)
+let test_report_skips_idle_metrics () =
+  Metrics.reset ();
+  Timer.reset ();
+  let mesh = Mesh.create ~cols:2 ~rows:2 in
+  let crg = Crg.create mesh in
+  let cdcg = Nocmap_apps.Fig1.cdcg in
+  let objective =
+    Mapping.Objective.cdcm ~tech:Technology.t007 ~params ~crg ~cdcg ()
+  in
+  Metrics.with_enabled true (fun () ->
+      ignore
+        (Mapping.Annealing.search ~rng:(Rng.create ~seed:3)
+           ~config:(Mapping.Annealing.quick_config ~tiles:4)
+           ~tiles:4 ~objective ~cores:(Cdcg.core_count cdcg) ()));
+  List.iter
+    (fun format ->
+      let report = Sink.report format in
+      Test_util.check_contains ~msg:"simulator runs reported" ~needle:"sim.runs"
+        report;
+      List.iter
+        (fun idle ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: no %s rows" (Sink.format_to_string format) idle)
+            false
+            (Test_util.contains_substring ~needle:idle report))
+        [ "serve."; "search.portfolio."; "search.decompose."; "persist." ])
+    [ `Table; `Json; `Csv ];
+  Metrics.reset ()
+
 (* --- simulator metric invariants --- *)
 
 let gen_scenario =
@@ -315,6 +347,8 @@ let suite =
       Alcotest.test_case "series" `Quick test_series;
       Alcotest.test_case "sink formats" `Quick test_sink_formats;
       Alcotest.test_case "sink spans" `Quick test_sink_spans;
+      Alcotest.test_case "report skips idle metrics" `Quick
+        test_report_skips_idle_metrics;
       QCheck_alcotest.to_alcotest prop_link_busy_bounded;
       QCheck_alcotest.to_alcotest prop_meter_matches_trace_loads;
       QCheck_alcotest.to_alcotest prop_router_stalls_sum_to_contention;

@@ -144,8 +144,6 @@ let test_spec_rejections () =
   expect_invalid ~needle:"model" {|{"id":"x","app":{"builtin":"fig1"},"model":"best"}|};
   expect_invalid ~needle:"algorithm"
     {|{"id":"x","app":{"builtin":"fig1"},"algorithm":"magic"}|};
-  expect_invalid ~needle:"incremental"
-    {|{"id":"x","app":{"builtin":"fig1"},"model":"cwm","incremental":true}|};
   expect_invalid ~needle:"timeout_ms"
     {|{"id":"x","app":{"builtin":"fig1"},"timeout_ms":-5}|};
   expect_invalid ~needle:"tech" {|{"id":"x","app":{"builtin":"fig1"},"tech":"1um"}|}
@@ -677,6 +675,70 @@ let test_run_replays_recorded_shard () =
         Alcotest.(check int) "recorded evaluations" 1727
           o.Run.result.Nocmap_mapping.Objective.evaluations)
 
+(* A queue journal written by an earlier release, verbatim: one
+   admitted job whose spec still carries the since-removed
+   "incremental" flag. *)
+let legacy_queue_journal =
+  {|{"crc":"25a58dc0","data":{"magic":"nocmap-journal","version":1,"meta":{"kind":"serve-queue","version":1}}}
+{"crc":"e3ad55c5","data":{"type":"job","spec":{"id":"legacy","app":{"builtin":"romberg"},"noc":"3x3","routing":"xy","tech":"0.07um","flit":16,"model":"cdcm","algorithm":"sa","seed":5,"budget":"quick","incremental":false}}}
+|}
+
+let test_engine_replays_legacy_admission () =
+  let without_flag = parse_spec (quick_job "legacy") in
+  let recorded =
+    match String.split_on_char '\n' legacy_queue_journal with
+    | _header :: record :: _ -> (
+      match Option.bind (Result.to_option (Json.of_string record)) (Json.find "data") with
+      | Some data -> (
+        match Option.map Job_spec.of_json (Json.find "spec" data) with
+        | Some (Ok spec) -> spec
+        | _ -> Alcotest.fail "recorded spec does not parse")
+      | None -> Alcotest.fail "malformed record")
+    | _ -> Alcotest.fail "no admission record"
+  in
+  Alcotest.(check bool) "same spec as without the flag" true (recorded = without_flag);
+  let dir = temp_dir () in
+  let store = Nocmap_persist.Store.open_ ~dir in
+  write_file (Nocmap_persist.Store.shard_path store ~key:"serve.jobs") legacy_queue_journal;
+  let engine, events = make_engine ~config:fast_config dir in
+  Alcotest.(check (list string)) "replayed as pending" [ "legacy" ] (Engine.pending engine);
+  Engine.run_pending engine;
+  Engine.close engine;
+  let fresh, fresh_events = make_engine ~config:fast_config (temp_dir ()) in
+  ignore (Engine.submit fresh ~source:"t" (quick_job "legacy"));
+  Engine.run_pending fresh;
+  Engine.close fresh;
+  match (find_completed events "legacy", find_completed fresh_events "legacy") with
+  | Some replayed, Some reference ->
+    Alcotest.(check string) "same result as a fresh submission" (Json.to_string reference)
+      (Json.to_string replayed)
+  | _ -> Alcotest.fail "legacy job did not complete"
+
+(* A job whose simulated time could overflow the simulator's event
+   encoding fails up front with an error naming the limit, instead of
+   tripping an assertion inside the event pump. *)
+let test_engine_rejects_time_overflow () =
+  let engine, events = make_engine ~config:fast_config (temp_dir ()) in
+  let job compute =
+    Printf.sprintf
+      {|{"id":"big-%d","app":{"cdcg":"application big\ncores a b\npacket p0 a -> b compute %d bits 16\n"},"noc":"2x1","algorithm":"local"}|}
+      compute compute
+  in
+  List.iter
+    (fun compute ->
+      match Engine.submit engine ~source:"t" (job compute) with
+      | Engine.Submitted -> ()
+      | _ -> Alcotest.fail "submit")
+    [ 1000; 200_000_000_000 ];
+  Engine.run_pending engine;
+  Engine.close engine;
+  Alcotest.(check bool) "small job completes" true
+    (find_completed events "big-1000" <> None);
+  match find_failed events "big-200000000000" with
+  | Some reason ->
+    Test_util.check_contains ~msg:"names the limit" ~needle:"cycle limit" reason
+  | None -> Alcotest.fail "overflowing job did not fail"
+
 (* --- spool --- *)
 
 let make_spool dir =
@@ -789,6 +851,10 @@ let suite =
       QCheck_alcotest.to_alcotest crash_recovery_prop;
       Alcotest.test_case "engine replays finished jobs" `Quick
         test_engine_replays_finished;
+      Alcotest.test_case "engine replays a legacy admission" `Quick
+        test_engine_replays_legacy_admission;
+      Alcotest.test_case "engine rejects event-time overflow" `Quick
+        test_engine_rejects_time_overflow;
       Alcotest.test_case "engine rejects a foreign journal" `Quick
         test_engine_rejects_foreign_journal;
       Alcotest.test_case "serve metrics registered" `Quick test_serve_metrics_registered;

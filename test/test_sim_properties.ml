@@ -149,7 +149,7 @@ let prop_scratch_identical =
   QCheck2.Test.make ~name:"scratch-reused runs are trace-identical to fresh runs"
     ~count:80 gen_scenario (fun (mesh, cdcg, placement) ->
       let crg = Crg.create mesh in
-      let scratch = Wormhole.Scratch.create ~crg cdcg in
+      let scratch = Wormhole.Scratch.create ~params ~crg cdcg in
       let fresh = Wormhole.run ~params ~crg ~placement cdcg in
       let first = Wormhole.run ~scratch ~params ~crg ~placement cdcg in
       (* Dirty the arena with a different placement, then reuse it again:
@@ -164,7 +164,7 @@ let prop_cutoff_sound =
   QCheck2.Test.make ~name:"cutoff gives a sound strict lower bound" ~count:80
     gen_scenario (fun (mesh, cdcg, placement) ->
       let crg = Crg.create mesh in
-      let scratch = Wormhole.Scratch.create ~crg cdcg in
+      let scratch = Wormhole.Scratch.create ~params ~crg cdcg in
       let full = Wormhole.run_summary ~scratch ~params ~crg ~placement cdcg in
       let t = full.Wormhole.texec_cycles in
       let half =
@@ -213,7 +213,7 @@ let test_scratch_evaluation_allocation_free () =
   let placements =
     Array.init 8 (fun _ -> Placement.random rng ~cores:8 ~tiles)
   in
-  let scratch = Wormhole.Scratch.create ~crg cdcg in
+  let scratch = Wormhole.Scratch.create ~params ~crg cdcg in
   let eval i =
     ignore
       (Wormhole.run_summary ~scratch ~params ~crg
