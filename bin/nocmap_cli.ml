@@ -109,6 +109,14 @@ let or_die = function
     prerr_endline ("nocmap: " ^ msg);
     exit 1
 
+(* The CRG of a command that simulates: a route longer than the
+   simulator can index fails here, before any run.  [profile] and
+   [faults] build their own (XY) CRGs and call this only to check. *)
+let simulated_crg routing mesh =
+  let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
+  or_die (Nocmap_sim.Wormhole.check_routes crg);
+  crg
+
 (* Cooperative SIGINT/SIGTERM handling for the long-running searches:
    the first signal flips a flag the annealing loops poll, so the run
    winds down and still prints its best-so-far result; a second signal
@@ -504,8 +512,7 @@ let map_cmd =
     let o =
       or_die
         (with_jobs jobs (fun pool ->
-             Serve.Run.execute ?journal ?pool ?convergence ~stop:stop_requested
-               ~cache:Serve.Run.Private spec))
+             Serve.Run.execute ?journal ?pool ?convergence ~stop:stop_requested spec))
     in
     let cdcg = o.Serve.Run.cdcg and result = o.Serve.Run.result in
     (match (convergence_path, convergence) with
@@ -628,7 +635,7 @@ let eval_cmd =
     let tech = or_die (load_tech tech_name) in
     let params = Noc_params.make ~flit_bits:flit () in
     let cdcg = or_die (load_app ~fit:(mesh, params) ~path:app ~builtin ()) in
-    let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
+    let crg = simulated_crg routing mesh in
     let cores = Cdcg.core_count cdcg in
     let placement =
       match placement with
@@ -655,7 +662,7 @@ let analyze_cmd =
   let run mesh flit routing app builtin placement =
     let params = Noc_params.make ~flit_bits:flit () in
     let cdcg = or_die (load_app ~fit:(mesh, params) ~path:app ~builtin ()) in
-    let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
+    let crg = simulated_crg routing mesh in
     let cores = Cdcg.core_count cdcg in
     let placement =
       match placement with
@@ -765,7 +772,7 @@ let export_cmd =
   let run mesh flit routing app builtin what out =
     let params = Noc_params.make ~flit_bits:flit () in
     let cdcg = or_die (load_app ~fit:(mesh, params) ~path:app ~builtin ()) in
-    let crg = Crg.create ~routing:(or_die (load_routing routing)) mesh in
+    let crg = simulated_crg routing mesh in
     let cores = Cdcg.core_count cdcg in
     let placement = Mapping.Placement.identity ~cores in
     let trace = Nocmap_sim.Wormhole.run ~params ~crg ~placement cdcg in
@@ -853,6 +860,7 @@ let faults_cmd =
     in
     let fit = (mesh, config.experiment.Nocmap.Experiment.params) in
     let cdcg = or_die (load_app ~fit ~path:app ~builtin ()) in
+    ignore (simulated_crg "xy" mesh);
     install_stop_signals ?checkpoint_dir ();
     let journal = setup_journal ~command:"faults" checkpoint_dir checkpoint_every in
     with_metrics metrics @@ fun () ->
@@ -906,6 +914,7 @@ let profile_cmd =
     let cdcg =
       or_die (load_app ~fit:(mesh, config.Nocmap.Experiment.params) ~path:app ~builtin ())
     in
+    ignore (simulated_crg "xy" mesh);
     let format = or_die (Obs.Sink.format_of_string format) in
     install_stop_signals ();
     Obs.Metrics.set_enabled true;

@@ -8,8 +8,7 @@
     energy.
 
     An unreachable pair of a faulty CRG (no surviving route, [K = 0])
-    costs nothing: its packets are dropped, as in {!Cost_cdcm} and
-    {!Cost_cwm_incremental}. *)
+    costs nothing: its packets are dropped, as in {!Cost_cdcm}. *)
 
 type t
 (** An evaluator for one (technology, CRG, CWG) triple: [Eq. 2]'s

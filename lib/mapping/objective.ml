@@ -88,32 +88,35 @@ let cdcm_expected ?fault_policy ~tech ~params ~scenarios ~cdcg () =
   in
   { name = "cdcm-expected"; cost_fn; bound_fn = Some bound_fn }
 
+(* An objective without a bound function passes through untouched:
+   for CWM's closed-form cost a lookup takes longer than the evaluation
+   it would save. *)
 let with_cache cache t =
-  let cost_fn p =
-    match Eval_cache.find_exact cache p with
-    | Some c -> c
-    | None ->
-      let c = t.cost_fn p in
-      Eval_cache.add_exact cache p c;
-      c
-  in
-  let bound_fn =
-    Option.map
-      (fun bound_fn ~cutoff p ->
-        match Eval_cache.find_bound cache ~cutoff p with
-        | Eval_cache.Known_exact c -> Exact c
-        | Eval_cache.Known_at_least b -> At_least b
-        | Eval_cache.Unknown -> (
-          match bound_fn ~cutoff p with
-          | Exact c ->
-            Eval_cache.add_exact cache p c;
-            Exact c
-          | At_least b ->
-            Eval_cache.add_bound cache ~cutoff p b;
-            At_least b))
-      t.bound_fn
-  in
-  { t with cost_fn; bound_fn }
+  match t.bound_fn with
+  | None -> t
+  | Some bound_fn ->
+    let cost_fn p =
+      match Eval_cache.find_exact cache p with
+      | Some c -> c
+      | None ->
+        let c = t.cost_fn p in
+        Eval_cache.add_exact cache p c;
+        c
+    in
+    let bound_fn ~cutoff p =
+      match Eval_cache.find_bound cache ~cutoff p with
+      | Eval_cache.Known_exact c -> Exact c
+      | Eval_cache.Known_at_least b -> At_least b
+      | Eval_cache.Unknown -> (
+        match bound_fn ~cutoff p with
+        | Exact c ->
+          Eval_cache.add_exact cache p c;
+          Exact c
+        | At_least b ->
+          Eval_cache.add_bound cache ~cutoff p b;
+          At_least b)
+    in
+    { t with cost_fn; bound_fn = Some bound_fn }
 
 (* Largest cycle cutoff safely representable in the simulator's
    packed-event time field. *)

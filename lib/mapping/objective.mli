@@ -24,7 +24,10 @@ type t = {
           as the cost provably exceeds [cutoff], returning {!At_least}.
           Search procedures use it to reject doomed candidates without
           paying for a full simulation.  [None] for closed-form costs
-          (CWM) where evaluation is already cheap. *)
+          (CWM) where evaluation is already cheap, and for
+          {!Weighted.make}, which simulates but whose blended cost no
+          single cycle budget bounds; {!with_cache} passes both through
+          uncached, so no caller caches [Weighted]. *)
 }
 
 type search_result = {
@@ -80,16 +83,18 @@ val texec :
     The [bound_fn] cuts the simulation off directly at [cutoff] cycles. *)
 
 val with_cache : Eval_cache.t -> t -> t
-(** Memoized view of an objective through an evaluation cache.  The
-    wrapped [cost_fn] answers exact hits from the cache and records
-    every computed cost; the wrapped [bound_fn] (present iff the
-    underlying one is) additionally reuses cached truncation bounds
-    under the protocol of {!Eval_cache.find_bound}, so a search over the
-    wrapped objective makes exactly the same decisions — and returns the
-    same placement, cost and evaluation count — as over the plain one.
+(** Memoized view of a simulation-backed objective through an
+    evaluation cache.  An objective without a [bound_fn] (CWM) is
+    returned unchanged: its closed-form cost is cheaper than a cache
+    lookup, so the cache sees no lookup and grows no entry.  Otherwise
+    the wrapped [cost_fn] answers exact hits from the cache and records
+    every computed cost, and the wrapped [bound_fn] additionally reuses
+    cached truncation bounds under the protocol of
+    {!Eval_cache.find_bound}, so a search over the wrapped objective
+    makes exactly the same decisions — and returns the same placement,
+    cost and evaluation count — as over the plain one.
 
-    Soundness rests on the cache's symmetry group being verified at the
-    right level for this objective ({!Nocmap_noc.Symmetry.Hops} for
-    {!cwm}, {!Nocmap_noc.Symmetry.Paths} against every scenario CRG for
-    the simulation-backed objectives); the caller pairs them.  Like the
-    underlying objective, the wrapped one is single-domain. *)
+    Soundness rests on the cache's symmetry group being verified against
+    every scenario CRG at {!Nocmap_noc.Symmetry.Paths} level; the caller
+    pairs them.  Like the underlying objective, the wrapped one is
+    single-domain. *)

@@ -129,9 +129,6 @@ type t = {
      guard that makes spool re-ingestion after a crash idempotent. *)
   known : (string, unit) Hashtbl.t;
   finished : (string, outcome) Hashtbl.t;
-  (* Eval caches shared across sequential jobs of one application and
-     NoC / objective shape; see [Run.Shared]. *)
-  caches : (string, Mapping.Eval_cache.t) Hashtbl.t;
 }
 
 let queue_key = "serve.jobs"
@@ -240,7 +237,6 @@ let create ?(emit = fun _ -> ()) ?(config = default_config) ~dir () =
           queue = Queue.create ();
           known = Hashtbl.create 64;
           finished = Hashtbl.create 64;
-          caches = Hashtbl.create 8;
         }
       in
       let rec replay = function
@@ -266,9 +262,7 @@ let create ?(emit = fun _ -> ()) ?(config = default_config) ~dir () =
         Ok t)
   end
 
-let close t =
-  Journal.close t.journal;
-  Hashtbl.reset t.caches
+let close t = Journal.close t.journal
 
 (* ------------------------------------------------------------------ *)
 (* Submission                                                          *)
@@ -359,10 +353,9 @@ type run_outcome =
   | Run_stopped  (** External stop: the job stays pending. *)
 
 (* Execute one job to completion (or stop/deadline) through the shared
-   run dispatcher.  May raise — the caller owns isolation and retry
-   classification.  Sequential jobs share the engine's per-application
-   caches; parallel batches ([share:false]) get private ones. *)
-let execute t ~share ~stop (spec : Job_spec.t) =
+   run dispatcher, which gives the job its own evaluation caches.  May
+   raise — the caller owns isolation and retry classification. *)
+let execute t ~stop (spec : Job_spec.t) =
   let timeout_ms =
     match spec.timeout_ms with None -> t.config.default_timeout_ms | own -> own
   in
@@ -385,8 +378,7 @@ let execute t ~share ~stop (spec : Job_spec.t) =
       every = t.config.checkpoint_every;
     }
   in
-  let cache = if share then Run.Shared t.caches else Run.Private in
-  match Run.execute ~journal ~stop:job_stop ~cache spec with
+  match Run.execute ~journal ~stop:job_stop spec with
   | Error reason -> Run_failed reason
   | Ok _ when stop () -> Run_stopped
   | Ok _ when !timed_out ->
@@ -419,10 +411,10 @@ let record_outcome t (spec : Job_spec.t) outcome =
    exception fails THIS job (structured reply), never the engine; a
    retryable journal error inside the search re-runs the job under the
    backoff policy — checkpoint resume makes the re-run cheap. *)
-let run_job t ~share ~stop (spec : Job_spec.t) =
+let run_job t ~stop (spec : Job_spec.t) =
   let id = spec.Job_spec.id in
   let attempt () =
-    match execute t ~share ~stop spec with
+    match execute t ~stop spec with
     | outcome -> Ok outcome
     | exception Journal.Append_failed e when e.Journal.retryable ->
       Error e.Journal.reason
@@ -464,15 +456,12 @@ let run_pending ?pool ?(stop = fun () -> false) t =
     set_depth t;
     List.iter (fun spec -> t.emit (Started { id = spec.Job_spec.id })) batch;
     let started_at = t.config.now_ms () in
-    let share = lanes = 1 || List.length batch = 1 in
     let outcomes =
       match (pool, batch) with
       | None, _ | _, [ _ ] ->
-        List.map (fun spec -> run_job t ~share ~stop spec) batch
+        List.map (fun spec -> run_job t ~stop spec) batch
       | Some pool, _ ->
-        Domain_pool.map ~pool
-          (fun spec -> run_job t ~share:false ~stop spec)
-          (Array.of_list batch)
+        Domain_pool.map ~pool (fun spec -> run_job t ~stop spec) (Array.of_list batch)
         |> Array.to_list
     in
     List.iter2

@@ -89,8 +89,9 @@ val result_json :
 val run_pending : ?pool:Nocmap_util.Domain_pool.t -> ?stop:(unit -> bool) -> t -> unit
 (** Runs queued jobs FIFO until the queue is empty or [stop] (sticky)
     fires.  With [pool], up to [Domain_pool.jobs pool] jobs run
-    concurrently per batch, each on a private evaluation cache; events
-    are still emitted in queue order.  A job interrupted by [stop]
+    concurrently per batch; events are still emitted in queue order.
+    Every job, sequential or not, runs on evaluation caches of its
+    own.  A job interrupted by [stop]
     stays pending (its search checkpoints survive); a job that exceeds
     its deadline fails with a [timeout] reason.  Every job runs through
     {!Run.execute}, journaled under the shard prefix [job.<id>]. *)

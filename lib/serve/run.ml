@@ -6,10 +6,6 @@ module Mapping = Nocmap_mapping
 module Objective = Nocmap_mapping.Objective
 module Eval_cache = Nocmap_mapping.Eval_cache
 
-type cache =
-  | Private
-  | Shared of (string, Eval_cache.t) Hashtbl.t
-
 type report =
   | Plain
   | Portfolio of Mapping.Portfolio.report
@@ -46,34 +42,12 @@ let parallel : Job_spec.algorithm -> bool = function
 (* The one per-budget configuration table. *)
 let quick (spec : Job_spec.t) = spec.budget = Job_spec.Quick
 
-(* A shared cache serves every sequential run of one (application, mesh,
-   routing, model, tech, flit, core-count) shape.  The application
-   enters as a digest of its CDCG text, so runs over different apps of
-   the same size never read each other's costs. *)
-let shared_cache table (spec : Job_spec.t) ~cdcg ~cores ~symmetry =
-  let discriminator =
-    String.concat "|"
-      [
-        Digest.to_hex (Digest.string (Nocmap_model.Textio.cdcg_to_string cdcg));
-        Job_spec.model_to_string spec.model;
-        spec.tech.Nocmap_energy.Technology.name;
-        string_of_int spec.flit_bits;
-        Nocmap_noc.Routing.algorithm_to_string spec.routing;
-      ]
-  in
-  let key = Printf.sprintf "%s|%s|%d" (Mesh.to_string spec.mesh) discriminator cores in
-  match Hashtbl.find_opt table key with
-  | Some cache -> cache
-  | None ->
-    let cache = Eval_cache.create ~symmetry:(Lazy.force symmetry) ~cores ~discriminator () in
-    Hashtbl.replace table key cache;
-    cache
-
-let execute ?journal ?pool ?convergence ~stop ~cache (spec : Job_spec.t) =
-  Job_spec.resolve_app spec
-  |> Result.map @@ fun cdcg ->
+let execute ?journal ?pool ?convergence ~stop (spec : Job_spec.t) =
+  Result.bind (Job_spec.resolve_app spec) @@ fun cdcg ->
+  let crg = Crg.create ~routing:spec.routing spec.mesh in
+  Nocmap_sim.Wormhole.check_routes crg
+  |> Result.map @@ fun () ->
      let tech = spec.tech in
-     let crg = Crg.create ~routing:spec.routing spec.mesh in
      let params = Job_spec.params spec in
      let cwg = Nocmap_model.Cwg.of_cdcg cdcg in
      let tiles = Mesh.tile_count spec.mesh in
@@ -99,17 +73,14 @@ let execute ?journal ?pool ?convergence ~stop ~cache (spec : Job_spec.t) =
      (* The objective of a single-domain search, and the cache it reports. *)
      let used_cache = ref None in
      let objective () =
-       let c =
-         match cache with
-         | Private -> private_cache (Lazy.force symmetry)
-         | Shared table -> shared_cache table spec ~cdcg ~cores ~symmetry
-       in
+       let c = private_cache (Lazy.force symmetry) in
        used_cache := Some c;
        cached c
      in
-     (* Racers and regions may run on distinct domains and Eval_cache is
-        single-domain, so each gets a fresh objective and private cache,
-        all from one symmetry group forced here, on the calling domain. *)
+     (* Every search owns its caches.  Racers and regions may run on
+        distinct domains and Eval_cache is single-domain, so each gets a
+        fresh objective and cache, all from one symmetry group forced
+        here, on the calling domain. *)
      let fresh_objectives () =
        let symmetry = Lazy.force symmetry in
        fun () -> cached (private_cache symmetry)

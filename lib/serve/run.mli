@@ -5,18 +5,15 @@
     written once.  [execute] owns the per-budget configuration table,
     the objective, symmetry group and evaluation caches (decomposition's
     region-keyed ones included) and the journal shard keys.  Callers
-    supply only what differs between them. *)
+    supply only what differs between them.
 
-(** Where a run's evaluation caches live.  Caching never changes a
-    result, only CPU time and the [cache.*] metrics, so it is always on
-    ([es] always enumerates only symmetry-canonical placements).
-    Portfolio racers and decompose regions always get private caches. *)
-type cache =
-  | Private  (** Fresh caches owned by this run. *)
-  | Shared of (string, Nocmap_mapping.Eval_cache.t) Hashtbl.t
-      (** Single-domain searches look their cache up here, keyed by the
-          application digest and the NoC/objective shape, so sequential
-          runs of one application share evaluations.  Not thread-safe. *)
+    Every run owns its evaluation caches: a single-domain search, each
+    portfolio racer and each decompose region gets a fresh one, and
+    none outlives the run.  Caching never changes a result, only CPU
+    time and the [cache.*] metrics, so it is always on; under CWM
+    {!Nocmap_mapping.Objective.with_cache} leaves the closed-form cost
+    uncached.  ([es] always enumerates only symmetry-canonical
+    placements.) *)
 
 type report =
   | Plain
@@ -30,7 +27,8 @@ type outcome = {
       (** The final placement under the full CDCM model. *)
   report : report;
   cache : Nocmap_mapping.Eval_cache.t option;
-      (** The cache of a single-domain search, for hit-rate reports. *)
+      (** The cache of a single-domain search, for hit-rate reports; it
+          sees no lookup under CWM. *)
 }
 
 val execute :
@@ -38,10 +36,11 @@ val execute :
   ?pool:Nocmap_util.Domain_pool.t ->
   ?convergence:Nocmap_obs.Series.t ->
   stop:(unit -> bool) ->
-  cache:cache ->
   Job_spec.t ->
   (outcome, string) result
-(** [Error] when the application cannot be loaded or does not fit.
+(** [Error] when the application cannot be loaded or does not fit, or
+    when a route of the mesh is longer than the simulator allows
+    ({!Nocmap_sim.Wormhole.check_routes}); both before any search.
     With [journal] the {!journaled} algorithms checkpoint through
     {!Nocmap_mapping.Search_persist} under the shard
     [Search_persist.sub journal suffix]: [map.sa], [job.<id>.decompose];

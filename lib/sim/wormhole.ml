@@ -146,6 +146,15 @@ let check_limits ?fault_policy ~params ~mesh (cdcg : Cdcg.t) =
            bound max_time)
     else Ok ()
 
+let check_routes crg =
+  let longest = Crg.max_router_count crg in
+  if longest > max_hops then
+    Error
+      (Printf.sprintf
+         "%s has a route through %d routers, beyond the simulator's %d-router limit"
+         (Mesh.to_string (Crg.mesh crg)) longest max_hops)
+  else Ok ()
+
 (* Per-packet mutable simulation state, reused across runs. *)
 type packet_state = {
   mutable path : Crg.path;
@@ -225,7 +234,9 @@ module Scratch = struct
 
   let create ?(fault_policy = default_fault_policy) ~params ~crg (cdcg : Cdcg.t) =
     let mesh = Crg.mesh crg in
-    (match check_limits ~fault_policy ~params ~mesh cdcg with
+    (match
+       Result.bind (check_routes crg) (fun () -> check_limits ~fault_policy ~params ~mesh cdcg)
+     with
     | Ok () -> ()
     | Error msg -> invalid_arg ("Wormhole.Scratch.create: " ^ msg));
     let tiles = Mesh.tile_count mesh in

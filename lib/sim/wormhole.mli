@@ -66,8 +66,14 @@ val check_limits :
 (** [Ok ()] when every run of the CDCG on [mesh] fits the packed-event
     encoding: at most 65535 packets, at most 65535 link slots, and an
     {!event_time_bound} of at most [2^37 - 1] cycles.  Otherwise an
-    [Error] naming the limit.  (Routes longer than 256 routers are
-    rejected per run, since they depend on the CRG.) *)
+    [Error] naming the limit.  (Route length depends on the CRG; see
+    {!check_routes}.) *)
+
+val check_routes : Nocmap_noc.Crg.t -> (unit, string) result
+(** [Ok ()] when every route of the CRG, faulted reroutes included,
+    passes at most 256 routers, the most a packed event can index.
+    Otherwise an [Error] naming the mesh and the limit.  O(1): it reads
+    {!Nocmap_noc.Crg.max_router_count}. *)
 
 (** Reusable simulation arena.
 
@@ -93,7 +99,8 @@ module Scratch : sig
       (or any CDCG with the same packet count) on [crg] (or any CRG with
       the same tile count).  A run under other params, fault policy or
       CDCG re-checks {!check_limits} before it schedules any event.
-      @raise Invalid_argument when {!check_limits} fails. *)
+      @raise Invalid_argument when {!check_routes} or {!check_limits}
+      fails. *)
 end
 
 (** Spatial accumulator for heatmaps.

@@ -10,12 +10,14 @@
 # checkpoint exercises the fresh-start path — the comparison holds
 # either way.
 #
-# Two further checks ride along.  CLI/serve parity: one standard-budget
+# Further checks ride along.  CLI/serve parity: one standard-budget
 # job per algorithm through the daemon must place every core on the
 # same tile as `nocmap map` with the same spec.  Hostile inputs: bad
-# --noc/--flit values and an application whose simulated time would
-# overflow the simulator must be usage errors, never an uncaught
-# exception.
+# --noc/--flit values, an application whose simulated time would
+# overflow the simulator and a 257x1 mesh, whose longest route passes
+# more routers than the simulator can index, must be usage errors,
+# never an uncaught exception; the daemon fails such a job with the
+# reason and still completes the next one.
 set -eu
 
 CLI=${NOCMAP_CLI:-./_build/default/bin/nocmap_cli.exe}
@@ -115,9 +117,14 @@ done
 # event encoding.
 printf 'application big\ncores a b\npacket p0 a -> b compute 200000000000 bits 16\n' \
   >"$DIR/big.cdcg"
+"$CLI" gen --cores 2 --packets 2 --bits 100 --seed 1 -o "$DIR/two.cdcg" >/dev/null
 for args in "map --noc 3xq --builtin fft8" "profile --noc 0x3 --builtin fft8" \
   "map --noc 3x3 --builtin fft8 --flit 0" \
-  "map --noc 2x1 --model cdcm --app $DIR/big.cdcg"; do
+  "map --noc 2x1 --model cdcm --app $DIR/big.cdcg" \
+  "eval --noc 257x1 --app $DIR/two.cdcg --placement 0,256" \
+  "map --noc 257x1 --app $DIR/two.cdcg" \
+  "profile --noc 257x1 --app $DIR/two.cdcg --quick" \
+  "faults --noc 257x1 --app $DIR/two.cdcg --quick"; do
   # shellcheck disable=SC2086 # word-splitting the argument list is intended
   if "$CLI" $args >/dev/null 2>"$DIR/hostile.err"; then
     echo "serve-smoke: 'nocmap $args' exited 0" >&2
@@ -129,4 +136,27 @@ for args in "map --noc 3xq --builtin fft8" "profile --noc 0x3 --builtin fft8" \
     echo "serve-smoke: 'nocmap $args' is a usage error"
   fi
 done
+
+# The daemon fails the 257x1 job with the route-limit reason, then
+# completes the job queued after it.
+mkdir -p "$DIR/spool-long/incoming"
+printf '{"id":"long-1","app":{"path":"%s"},"noc":"257x1","algorithm":"sa","budget":"quick"}\n' \
+  "$DIR/two.cdcg" >"$DIR/spool-long/incoming/long-1.json"
+printf '{"id":"long-2","app":{"builtin":"fft8"},"noc":"3x3","algorithm":"sa","budget":"quick","seed":9}\n' \
+  >"$DIR/spool-long/incoming/long-2.json"
+"$CLI" serve --state "$DIR/state-long" --spool "$DIR/spool-long" \
+  --drain-once >/dev/null 2>&1
+if grep '"status":"failed"' "$DIR/spool-long/replies/long-1.jsonl" 2>/dev/null |
+  grep -q "256-router limit"; then
+  echo "serve-smoke: 257x1 job failed with the route-limit reason"
+else
+  echo "serve-smoke: 257x1 job did not fail with the route-limit reason" >&2
+  status=1
+fi
+if grep -q '"status":"done"' "$DIR/spool-long/replies/long-2.jsonl" 2>/dev/null; then
+  echo "serve-smoke: the job after it completed"
+else
+  echo "serve-smoke: the job after the 257x1 one did not complete" >&2
+  status=1
+fi
 exit $status

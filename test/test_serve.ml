@@ -310,11 +310,11 @@ let test_engine_rejects_invalid () =
     (find_completed events "after" <> None);
   Engine.close engine
 
-(* Sequential jobs share one Eval_cache per NoC/objective shape.  Two
-   different applications with the same core count on the same mesh
-   must still never read each other's costs: every reported cost equals
-   a fresh evaluation of the reported placement, bit for bit. *)
-let test_engine_cache_keys_application () =
+(* Two different applications with the same core count on the same
+   mesh, run one after the other by one engine, never read each other's
+   costs: every reported cost equals a fresh evaluation of the reported
+   placement, bit for bit. *)
+let test_engine_sequential_apps_fresh_costs () =
   let dir = temp_dir () in
   let engine, events = make_engine ~config:fast_config dir in
   let app seed =
@@ -590,7 +590,7 @@ let parse_spec text =
   match Job_spec.of_string text with Ok s -> s | Error e -> Alcotest.fail e
 
 let run_json ?journal spec =
-  match Run.execute ?journal ~stop:(fun () -> false) ~cache:Run.Private spec with
+  match Run.execute ?journal ~stop:(fun () -> false) spec with
   | Error e -> Alcotest.fail e
   | Ok o -> Json.to_string (Engine.result_json o.Run.result o.Run.evaluation)
 
@@ -665,7 +665,7 @@ let test_run_replays_recorded_shard () =
         Run.execute
           ~journal:
             { Search_persist.store; key = "map"; every = Search_persist.default_every }
-          ~stop:(fun () -> false) ~cache:Run.Private spec
+          ~stop:(fun () -> false) spec
       with
       | Error e -> Alcotest.fail e
       | Ok o ->
@@ -738,6 +738,55 @@ let test_engine_rejects_time_overflow () =
   | Some reason ->
     Test_util.check_contains ~msg:"names the limit" ~needle:"cycle limit" reason
   | None -> Alcotest.fail "overflowing job did not fail"
+
+(* A mesh with a route through more routers than a packed simulator
+   event can index fails at set-up with an error naming the limit: the
+   arena refuses it, the dispatcher returns [Error] before any search
+   (under CWM too, whose search never simulates), and the engine fails
+   that job and still runs the next one. *)
+let two_cores = "application two\ncores a b\npacket p0 a -> b compute 1 bits 100\n"
+
+let test_route_limit () =
+  let mesh = Nocmap_noc.Mesh.create ~cols:257 ~rows:1 in
+  let crg = Nocmap_noc.Crg.create mesh in
+  let cdcg = Result.get_ok (Nocmap_model.Textio.cdcg_of_string two_cores) in
+  let params = Nocmap_energy.Noc_params.make () in
+  (match Nocmap_sim.Wormhole.check_routes crg with
+  | Error reason -> Test_util.check_contains ~msg:"check" ~needle:"256-router limit" reason
+  | Ok () -> Alcotest.fail "257x1 passed the route check");
+  Alcotest.(check bool) "256x1 fits" true
+    (Nocmap_sim.Wormhole.check_routes
+       (Nocmap_noc.Crg.create (Nocmap_noc.Mesh.create ~cols:256 ~rows:1))
+    = Ok ());
+  Alcotest.(check bool) "arena refuses the CRG" true
+    (match Nocmap_sim.Wormhole.Scratch.create ~params ~crg cdcg with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  let spec_text model =
+    Printf.sprintf
+      {|{"id":"long-%s","app":{"cdcg":%S},"noc":"257x1","model":"%s","algorithm":"random","budget":"quick"}|}
+      model two_cores model
+  in
+  List.iter
+    (fun model ->
+      match Run.execute ~stop:(fun () -> false) (parse_spec (spec_text model)) with
+      | Error reason ->
+        Test_util.check_contains ~msg:("execute " ^ model) ~needle:"256-router limit" reason
+      | Ok _ -> Alcotest.fail ("a 257x1 " ^ model ^ " run succeeded"))
+    [ "cwm"; "cdcm" ];
+  let engine, events = make_engine ~config:fast_config (temp_dir ()) in
+  List.iter
+    (fun job ->
+      match Engine.submit engine ~source:"t" job with
+      | Engine.Submitted -> ()
+      | _ -> Alcotest.fail "submit")
+    [ spec_text "cdcm"; quick_job "after-long" ];
+  Engine.run_pending engine;
+  Engine.close engine;
+  (match find_failed events "long-cdcm" with
+  | Some reason -> Test_util.check_contains ~msg:"job" ~needle:"256-router limit" reason
+  | None -> Alcotest.fail "the 257x1 job did not fail");
+  Alcotest.(check bool) "next job completes" true (find_completed events "after-long" <> None)
 
 (* --- spool --- *)
 
@@ -837,8 +886,8 @@ let suite =
       Alcotest.test_case "engine runs a portfolio job" `Quick
         test_engine_portfolio_job;
       Alcotest.test_case "engine rejects invalid input" `Quick test_engine_rejects_invalid;
-      Alcotest.test_case "engine cache keys the application" `Quick
-        test_engine_cache_keys_application;
+      Alcotest.test_case "sequential apps report fresh costs" `Quick
+        test_engine_sequential_apps_fresh_costs;
       Alcotest.test_case "engine refuses duplicates" `Quick test_engine_duplicate;
       Alcotest.test_case "engine sheds overload" `Quick test_engine_sheds_overload;
       Alcotest.test_case "engine enforces per-job timeout" `Quick test_engine_timeout;
@@ -855,6 +904,7 @@ let suite =
         test_engine_replays_legacy_admission;
       Alcotest.test_case "engine rejects event-time overflow" `Quick
         test_engine_rejects_time_overflow;
+      Alcotest.test_case "route limit fails at set-up" `Quick test_route_limit;
       Alcotest.test_case "engine rejects a foreign journal" `Quick
         test_engine_rejects_foreign_journal;
       Alcotest.test_case "serve metrics registered" `Quick test_serve_metrics_registered;
