@@ -69,9 +69,11 @@ scale-smoke:
 
 # Crash-safety smoke: start a checkpointed table2, kill it mid-run with
 # SIGINT, resume from the journal, and require the resumed table to be
-# byte-identical to an uninterrupted run.  Robust at either extreme: a
-# machine fast enough to finish before the kill exercises the replay
-# path, one killed before the first checkpoint exercises the fresh path.
+# byte-identical to an uninterrupted run.  A fault campaign on a
+# generated 20-core application gets the same treatment, its CSV
+# compared too.  Robust at either extreme: a machine fast enough to
+# finish before the kill exercises the replay path, one killed before
+# the first checkpoint exercises the fresh path.
 NOCMAP_CLI := ./_build/default/bin/nocmap_cli.exe
 SMOKE_DIR := _build/resume-smoke
 resume-smoke:
@@ -83,6 +85,19 @@ resume-smoke:
 	$(NOCMAP_CLI) resume $(SMOKE_DIR)/ckpt > $(SMOKE_DIR)/resumed.txt 2>/dev/null
 	cmp $(SMOKE_DIR)/reference.txt $(SMOKE_DIR)/resumed.txt
 	@echo "resume-smoke: resumed table byte-identical to the uninterrupted run"
+	$(NOCMAP_CLI) gen --cores 20 --packets 160 --bits 200000 --seed 5 \
+		-o $(SMOKE_DIR)/app20.cdcg >/dev/null
+	$(NOCMAP_CLI) faults --noc 5x4 --app $(SMOKE_DIR)/app20.cdcg --seed 3 \
+		--csv $(SMOKE_DIR)/faults.csv > $(SMOKE_DIR)/faults-reference.txt 2>/dev/null
+	mv $(SMOKE_DIR)/faults.csv $(SMOKE_DIR)/faults-reference.csv
+	-timeout --signal=INT --kill-after=60 1 $(NOCMAP_CLI) faults --noc 5x4 \
+		--app $(SMOKE_DIR)/app20.cdcg --seed 3 --csv $(SMOKE_DIR)/faults.csv \
+		--checkpoint-dir $(SMOKE_DIR)/faults-ckpt --checkpoint-every 500 \
+		>/dev/null 2>&1
+	$(NOCMAP_CLI) resume $(SMOKE_DIR)/faults-ckpt > $(SMOKE_DIR)/faults-resumed.txt 2>/dev/null
+	cmp $(SMOKE_DIR)/faults-reference.txt $(SMOKE_DIR)/faults-resumed.txt
+	cmp $(SMOKE_DIR)/faults-reference.csv $(SMOKE_DIR)/faults.csv
+	@echo "resume-smoke: resumed fault campaign table and CSV byte-identical"
 
 # Daemon crash-safety smoke: spool two jobs into `nocmap serve`, kill
 # the daemon with SIGKILL mid-search, restart it over the same state

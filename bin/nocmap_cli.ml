@@ -489,9 +489,11 @@ let map_cmd =
         timeout_ms = None;
       }
     in
-    (* Fail on a bad application before a checkpoint manifest is
-       written for this command line. *)
+    (* Make the up-front checks of [Run.execute] (the application fits,
+       no route passes the simulator's limit) before a checkpoint
+       manifest is written for this command line. *)
     ignore (or_die (Serve.Job_spec.resolve_app spec));
+    ignore (simulated_crg routing mesh);
     let name = Serve.Job_spec.algorithm_to_string algorithm in
     install_stop_signals ?checkpoint_dir ();
     if checkpoint_dir <> None && not (Serve.Run.journaled algorithm) then

@@ -9,8 +9,6 @@ module Rng = Nocmap_util.Rng
 module Tablefmt = Nocmap_util.Tablefmt
 module Domain_pool = Nocmap_util.Domain_pool
 module Timer = Nocmap_obs.Timer
-module Json = Nocmap_persist.Json
-module Store = Nocmap_persist.Store
 
 type config = {
   experiment : Experiment.config;
@@ -56,55 +54,6 @@ type t = {
 
 let inflation_percent ~baseline value =
   if baseline = 0.0 then 0.0 else (value -. baseline) /. baseline *. 100.0
-
-(* Checkpoint encoding of one scenario's evaluations.  The scenario
-   itself is not stored: the scenario list is a pure function of the
-   seed, so a resumed run rebuilds it and only replays the expensive
-   degraded-CRG simulations. *)
-let evaluation_json (e : Mapping.Cost_cdcm.evaluation) =
-  Json.Assoc
-    [
-      ("dynamic", Json.float_ e.Mapping.Cost_cdcm.dynamic);
-      ("static", Json.float_ e.Mapping.Cost_cdcm.static_);
-      ("total", Json.float_ e.Mapping.Cost_cdcm.total);
-      ("texec_ns", Json.float_ e.Mapping.Cost_cdcm.texec_ns);
-      ("texec_cycles", Json.Int e.Mapping.Cost_cdcm.texec_cycles);
-      ("contention_cycles", Json.Int e.Mapping.Cost_cdcm.contention_cycles);
-      ("delivered_packets", Json.Int e.Mapping.Cost_cdcm.delivered_packets);
-      ("dropped_packets", Json.Int e.Mapping.Cost_cdcm.dropped_packets);
-      ("retries_total", Json.Int e.Mapping.Cost_cdcm.retries_total);
-    ]
-
-let evaluation_of_json j =
-  {
-    Mapping.Cost_cdcm.dynamic = Json.to_float (Json.get "dynamic" j);
-    static_ = Json.to_float (Json.get "static" j);
-    total = Json.to_float (Json.get "total" j);
-    texec_ns = Json.to_float (Json.get "texec_ns" j);
-    texec_cycles = Json.to_int (Json.get "texec_cycles" j);
-    contention_cycles = Json.to_int (Json.get "contention_cycles" j);
-    delivered_packets = Json.to_int (Json.get "delivered_packets" j);
-    dropped_packets = Json.to_int (Json.get "dropped_packets" j);
-    retries_total = Json.to_int (Json.get "retries_total" j);
-  }
-
-let scenario_payload_json s =
-  Json.Assoc
-    [
-      ("unreachable_pairs", Json.Int s.unreachable_pairs);
-      ("total_detour_links", Json.Int s.total_detour_links);
-      ("cwm", evaluation_json s.cwm);
-      ("cdcm", evaluation_json s.cdcm);
-    ]
-
-let scenario_of_payload ~scenario j =
-  {
-    scenario;
-    unreachable_pairs = Json.to_int (Json.get "unreachable_pairs" j);
-    total_detour_links = Json.to_int (Json.get "total_detour_links" j);
-    cwm = evaluation_of_json (Json.get "cwm" j);
-    cdcm = evaluation_of_json (Json.get "cdcm" j);
-  }
 
 let report ~label ~(baseline : Mapping.Cost_cdcm.evaluation) scenarios select =
   let evals = List.map select scenarios in
@@ -166,11 +115,11 @@ let run ?(config = default_config) ?pool ?stop ?journal ~mesh ~seed cdcg =
       Fault.sample_link_scenarios ~rng:sample_rng ~k:config.multi_fault_k
         ~count:config.multi_fault_count mesh
   in
-  let scenario_arr = Array.of_list scenarios in
   (* Each scenario evaluation is RNG-free, so fanning out over [?pool]
-     is bit-identical to the sequential sweep. *)
-  let compute_scenario i =
-    let scenario = scenario_arr.(i) in
+     is bit-identical to the sequential sweep.  It is also cheaper than
+     reading a recorded result back, so a resumed campaign recomputes
+     the whole sweep and [?journal] covers only the two searches. *)
+  let evaluate_scenario scenario =
     let crg = Crg.create ~faults:scenario mesh in
     let eval placement =
       Mapping.Cost_cdcm.evaluate ~fault_policy:config.fault_policy ~tech ~params
@@ -184,47 +133,9 @@ let run ?(config = default_config) ?pool ?stop ?journal ~mesh ~seed cdcg =
       cdcm = eval pair.Experiment.cdcm_placement;
     }
   in
-  let stop_now () = match stop with Some f -> f () | None -> false in
-  (* Scenario evaluations are deterministic, so checkpointing them is a
-     plain memo: one shard per scenario, replayed on resume.  Once [stop]
-     fires the placements are best-so-far rather than the converged ones,
-     so nothing is memoized (the meta records the placements precisely so
-     a stale shard would be rejected loudly rather than replayed). *)
-  let evaluate_scenario i =
-    match journal with
-    | None -> compute_scenario i
-    | Some _ when stop_now () -> compute_scenario i
-    | Some j ->
-      let scenario = scenario_arr.(i) in
-      let meta =
-        Json.Assoc
-          [
-            ("app", Json.Str cdcg.Cdcg.name);
-            ("mesh", Json.Str (Mesh.to_string mesh));
-            ("seed", Json.Int seed);
-            ("scenario", Json.Str (Fault.to_string scenario));
-            ( "cwm",
-              Mapping.Search_persist.placement_json
-                pair.Experiment.cwm_placement );
-            ( "cdcm",
-              Mapping.Search_persist.placement_json
-                pair.Experiment.cdcm_placement );
-          ]
-      in
-      let { Mapping.Search_persist.store; key; _ } =
-        Mapping.Search_persist.sub j (Printf.sprintf "scn%03d" i)
-      in
-      let payload =
-        Store.memoize store ~key
-          ~meta
-          (fun () -> scenario_payload_json (compute_scenario i))
-      in
-      scenario_of_payload ~scenario payload
-  in
   let results =
     Timer.time "faults.scenarios" (fun () ->
-        Domain_pool.map ?pool evaluate_scenario
-          (Array.init (Array.length scenario_arr) Fun.id))
+        Domain_pool.map ?pool evaluate_scenario (Array.of_list scenarios))
   in
   let scenarios = Array.to_list results in
   {

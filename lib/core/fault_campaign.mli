@@ -71,9 +71,11 @@ val run :
     with and without [?pool].  [?stop] interrupts the mapping searches
     (they return best-so-far); the scenario sweep itself always runs to
     completion so the reported spreads are over the full scenario set.
-    [?journal] checkpoints the mapping searches and memoizes each
-    scenario evaluation in its own shard, so a killed campaign resumes
-    with only the unfinished work redone and a bit-identical report.
+    [?journal] checkpoints only the two mapping searches, as the search
+    legs of {!Experiment.optimize_pair} under the [optimize] scope.  The
+    scenario sweep is a deterministic function of the two placements,
+    so every run recomputes it rather than checkpointing it; a killed
+    campaign resumes its searches and reports bit-identically.
     @raise Invalid_argument when the application has more cores than the
     mesh has tiles, or the config's sampling parameters are invalid for
     the mesh. *)

@@ -431,55 +431,27 @@ let run_leg ?journal ~meta ~encode ~decode ~encode_result ~decode_result ~stop
             Journal.append_exn journal (done_record (encode_result result));
           result)
 
-(* The fingerprint of a single-searcher shard.  The rng state on entry
-   identifies the substream: resuming with a different seed must be
-   rejected, not blended in. *)
-let searcher_meta algorithm config ~objective ~rng ~tiles ~cores ~initial =
-  Json.Assoc
-    [
-      ("algorithm", Json.Str algorithm);
-      ("objective", Json.Str objective.Objective.name);
-      ("rng", Json.int64 (Rng.state rng));
-      ("tiles", Json.Int tiles);
-      ("cores", Json.Int cores);
-      ("config", config);
-      ("initial", match initial with None -> Json.Null | Some p -> placement_json p);
-    ]
-
+(* The rng state on entry identifies the substream: resuming with a
+   different seed must be rejected, not blended in. *)
 let annealing ?journal ~rng ~config ~tiles ~objective ?initial
     ?(stop = fun () -> false) ?convergence ~cores () =
-  run_leg ?journal
-    ~meta:(fun () ->
-      searcher_meta "sa" (sa_config_json config) ~objective ~rng ~tiles ~cores ~initial)
-    ~encode:sa_checkpoint_json ~decode:sa_checkpoint_of_json
+  let meta () =
+    Json.Assoc
+      [
+        ("algorithm", Json.Str "sa");
+        ("objective", Json.Str objective.Objective.name);
+        ("rng", Json.int64 (Rng.state rng));
+        ("tiles", Json.Int tiles);
+        ("cores", Json.Int cores);
+        ("config", sa_config_json config);
+        ("initial", match initial with None -> Json.Null | Some p -> placement_json p);
+      ]
+  in
+  run_leg ?journal ~meta ~encode:sa_checkpoint_json ~decode:sa_checkpoint_of_json
     ~encode_result:result_json ~decode_result:result_of_json ~stop
     ~run:(fun ?checkpoint ?resume () ->
       Annealing.search ~rng ~config ~tiles ~objective ?initial ~stop
         ?convergence ?checkpoint ?resume ~cores ())
-
-let tabu ?journal ~rng ~config ~tiles ~objective ?initial
-    ?(stop = fun () -> false) ?convergence ~cores () =
-  run_leg ?journal
-    ~meta:(fun () ->
-      searcher_meta "tabu" (tabu_config_json config) ~objective ~rng ~tiles ~cores
-        ~initial)
-    ~encode:tabu_checkpoint_json ~decode:tabu_checkpoint_of_json
-    ~encode_result:result_json ~decode_result:result_of_json ~stop
-    ~run:(fun ?checkpoint ?resume () ->
-      Tabu.search ~rng ~config ~tiles ~objective ?initial ~stop ?convergence
-        ?checkpoint ?resume ~cores ())
-
-let genetic ?journal ~rng ~config ~tiles ~objective ?initial
-    ?(stop = fun () -> false) ?convergence ~cores () =
-  run_leg ?journal
-    ~meta:(fun () ->
-      searcher_meta "ga" (genetic_config_json config) ~objective ~rng ~tiles ~cores
-        ~initial)
-    ~encode:genetic_checkpoint_json ~decode:genetic_checkpoint_of_json
-    ~encode_result:result_json ~decode_result:result_of_json ~stop
-    ~run:(fun ?checkpoint ?resume () ->
-      Genetic.search ~rng ~config ~tiles ~objective ?initial ~stop ?convergence
-        ?checkpoint ?resume ~cores ())
 
 let portfolio ?journal ~rng ~config ~strategies
     ~tech ~crg ~cwg ~objective_name ~objective_for ?pool

@@ -19,6 +19,12 @@
     silently mixing two different runs.  Run-level identity
     (application, mesh, seed) is the caller's manifest's job.
 
+    Four searches own a shard: {!annealing}, {!local_search},
+    {!portfolio} and {!decompose}.  Tabu and genetic search are
+    journaled only as portfolio racers or decompose regions, inside
+    those shards, through the one leg codec below.  These shards are the
+    only ones a checkpoint directory holds.
+
     Every wrapper takes its shard as one optional [?journal].  Without
     it the call is the plain searcher (no shard, no fingerprint), so
     callers need no plain-versus-persisted branch.  The
@@ -74,36 +80,6 @@ val local_search :
   unit ->
   Objective.search_result
 (** {!Local_search.search} under the same protocol. *)
-
-val tabu :
-  ?journal:journal ->
-  rng:Nocmap_util.Rng.t ->
-  config:Tabu.config ->
-  tiles:int ->
-  objective:Objective.t ->
-  ?initial:Placement.t ->
-  ?stop:(unit -> bool) ->
-  ?convergence:Nocmap_obs.Series.t ->
-  cores:int ->
-  unit ->
-  Objective.search_result
-(** {!Tabu.search} under the same protocol (algorithm fingerprint
-    ["tabu"] — a shard recorded by any other algorithm is rejected). *)
-
-val genetic :
-  ?journal:journal ->
-  rng:Nocmap_util.Rng.t ->
-  config:Genetic.config ->
-  tiles:int ->
-  objective:Objective.t ->
-  ?initial:Placement.t ->
-  ?stop:(unit -> bool) ->
-  ?convergence:Nocmap_obs.Series.t ->
-  cores:int ->
-  unit ->
-  Objective.search_result
-(** {!Genetic.search} under the same protocol (algorithm fingerprint
-    ["ga"]). *)
 
 val portfolio :
   ?journal:journal ->

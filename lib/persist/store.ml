@@ -1,9 +1,3 @@
-module Metrics = Nocmap_obs.Metrics
-
-let m_replayed =
-  Metrics.counter "persist.replayed_results"
-    ~help:"Completed shard results replayed instead of recomputed"
-
 type t = { dir : string }
 
 let open_ ~dir =
@@ -38,44 +32,3 @@ let read_manifest t =
     match Json.of_string (String.trim content) with
     | Ok j -> Ok j
     | Error e -> Error (Printf.sprintf "%s: %s" path e))
-
-let memo_meta ~key ~meta =
-  Json.Assoc [ ("kind", Json.Str "memo"); ("key", Json.Str key); ("meta", meta) ]
-
-let find_done records =
-  List.find_map
-    (fun r ->
-      match Json.find "type" r with
-      | Some (Json.Str "done") -> Some (Json.get "value" r)
-      | _ -> None)
-    records
-
-let memoize t ~key ~meta f =
-  let path = shard_path t ~key in
-  let expected = memo_meta ~key ~meta in
-  let compute () =
-    let v = f () in
-    let j = Journal.create ~path ~meta:expected in
-    Journal.append_exn j
-      (Json.Assoc [ ("type", Json.Str "done"); ("value", v) ]);
-    Journal.close j;
-    v
-  in
-  if not (Sys.file_exists path) then compute ()
-  else
-    match Journal.load ~path with
-    | Error msg -> failwith msg
-    | Ok l ->
-      if l.Journal.meta <> expected then
-        failwith
-          (Printf.sprintf
-             "%s: checkpoint does not match this run (recorded %s, expected %s)"
-             path
-             (Json.to_string l.Journal.meta)
-             (Json.to_string expected))
-      else (
-        match find_done l.Journal.records with
-        | Some v ->
-          Metrics.incr m_replayed;
-          v
-        | None -> compute ())

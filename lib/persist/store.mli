@@ -7,6 +7,12 @@
       <key>-<crc8>.jsonl   one Journal per shard key
     v}
 
+    The store only names files.  Every shard is a search-leg journal
+    whose records ([progress] snapshots, one [done] result) and header
+    fingerprint belong to [Nocmap_mapping.Search_persist]; work that is
+    cheaper to recompute than to read back, such as a deterministic
+    simulation, is not checkpointed at all.
+
     Shard file names are derived from caller keys by sanitizing to a
     filesystem-safe alphabet and appending a CRC-32 of the original
     key, so distinct keys never collide even when sanitization makes
@@ -27,13 +33,3 @@ val write_manifest : t -> Json.t -> unit
 (** Atomic replace of [manifest.json]. *)
 
 val read_manifest : t -> (Json.t, string) result
-
-val memoize :
-  t -> key:string -> meta:Json.t -> (unit -> Json.t) -> Json.t
-(** [memoize store ~key ~meta f] replays the recorded value when the
-    [key] shard already holds a completed result (after checking that
-    its header [meta] matches — a mismatch means the resume does not
-    match the original run and fails loudly).  Otherwise runs [f] and
-    records the value.  For deterministic computations this makes a
-    resumed run bit-identical to an uninterrupted one while skipping
-    the work already done. *)

@@ -16,8 +16,9 @@
 # --noc/--flit values, an application whose simulated time would
 # overflow the simulator and a 257x1 mesh, whose longest route passes
 # more routers than the simulator can index, must be usage errors,
-# never an uncaught exception; the daemon fails such a job with the
-# reason and still completes the next one.
+# never an uncaught exception, and a rejected checkpointed run writes
+# no manifest; the daemon fails such a job with the reason and still
+# completes the next one.
 set -eu
 
 CLI=${NOCMAP_CLI:-./_build/default/bin/nocmap_cli.exe}
@@ -123,6 +124,7 @@ for args in "map --noc 3xq --builtin fft8" "profile --noc 0x3 --builtin fft8" \
   "map --noc 2x1 --model cdcm --app $DIR/big.cdcg" \
   "eval --noc 257x1 --app $DIR/two.cdcg --placement 0,256" \
   "map --noc 257x1 --app $DIR/two.cdcg" \
+  "map --noc 257x1 --app $DIR/two.cdcg --checkpoint-dir $DIR/ckpt-long" \
   "profile --noc 257x1 --app $DIR/two.cdcg --quick" \
   "faults --noc 257x1 --app $DIR/two.cdcg --quick"; do
   # shellcheck disable=SC2086 # word-splitting the argument list is intended
@@ -136,6 +138,15 @@ for args in "map --noc 3xq --builtin fft8" "profile --noc 0x3 --builtin fft8" \
     echo "serve-smoke: 'nocmap $args' is a usage error"
   fi
 done
+
+# A rejected run leaves no manifest for a `resume` that could only fail
+# the same way.
+if [ -e "$DIR/ckpt-long/manifest.json" ]; then
+  echo "serve-smoke: the rejected 257x1 map left a checkpoint manifest" >&2
+  status=1
+else
+  echo "serve-smoke: the rejected 257x1 map left no checkpoint manifest"
+fi
 
 # The daemon fails the 257x1 job with the route-limit reason, then
 # completes the job queued after it.

@@ -135,30 +135,6 @@ let test_journal_append_error_is_typed () =
     Alcotest.(check bool) "exception not retryable" false e.Journal.retryable);
   Sys.remove path
 
-(* --- store memoization --- *)
-
-let test_memoize_replays () =
-  let store = Store.open_ ~dir:(temp_dir ()) in
-  let calls = ref 0 in
-  let f () =
-    incr calls;
-    Json.Assoc [ ("answer", Json.Int 42) ]
-  in
-  let meta = Json.Assoc [ ("inputs", Json.Str "x") ] in
-  let a = Store.memoize store ~key:"k" ~meta f in
-  let b = Store.memoize store ~key:"k" ~meta f in
-  Alcotest.(check int) "computed once" 1 !calls;
-  Alcotest.(check bool) "replayed value" true (a = b)
-
-let test_memoize_meta_mismatch_is_loud () =
-  let store = Store.open_ ~dir:(temp_dir ()) in
-  let f () = Json.Int 1 in
-  ignore (Store.memoize store ~key:"k" ~meta:(Json.Str "run-a") f);
-  Alcotest.(check bool) "mismatch raises" true
-    (match Store.memoize store ~key:"k" ~meta:(Json.Str "run-b") f with
-    | exception Failure _ -> true
-    | _ -> false)
-
 (* --- search kill + resume --- *)
 
 let crg = Crg.create (Mesh.create ~cols:2 ~rows:2)
@@ -523,9 +499,6 @@ let suite =
         test_journal_bad_crc_is_loud;
       Alcotest.test_case "journal append error is typed" `Quick
         test_journal_append_error_is_typed;
-      Alcotest.test_case "memoize replays" `Quick test_memoize_replays;
-      Alcotest.test_case "memoize meta mismatch is loud" `Quick
-        test_memoize_meta_mismatch_is_loud;
       QCheck_alcotest.to_alcotest prop_sa_kill_resume_bit_identical;
       QCheck_alcotest.to_alcotest prop_ls_kill_resume_bit_identical;
       Alcotest.test_case "local search stopped after its last pass resumes" `Quick

@@ -1,8 +1,8 @@
 (* The racing portfolio: constructive seeds stay valid on every mesh
    shape, the race never loses to its own seeds, pooled races are
    bit-identical to sequential ones, a race killed at an arbitrary
-   point resumes bit-identically, and a portfolio reduced to SA alone
-   replays plain annealing exactly. *)
+   point resumes bit-identically, and a portfolio reduced to one racer
+   (SA, tabu or GA) replays that plain searcher exactly. *)
 
 module Mesh = Nocmap_noc.Mesh
 module Crg = Nocmap_noc.Crg
@@ -202,83 +202,53 @@ let prop_race_kill_resume_bit_identical =
       check_report "replayed vs uninterrupted" reference replayed;
       true)
 
-let tabu_reference seed =
-  Mapping.Tabu.search ~rng:(Rng.create ~seed)
-    ~config:(Mapping.Tabu.quick_config ~tiles:4)
-    ~tiles:4 ~objective:(fresh_objective ()) ~cores:4 ()
+(* --- a one-racer portfolio is trajectory-identical to its searcher --- *)
 
-let tabu_persisted ~store ?stop seed =
-  Mapping.Search_persist.tabu
-    ~journal:{ Mapping.Search_persist.store; key = "tabu"; every = 100 }
-    ~rng:(Rng.create ~seed)
-    ~config:(Mapping.Tabu.quick_config ~tiles:4)
-    ~tiles:4 ~objective:(fresh_objective ()) ?stop ~cores:4 ()
+let racer_gen =
+  QCheck2.Gen.(
+    pair
+      (oneofl Mapping.Portfolio.[ Sa; Tabu; Genetic ])
+      (int_range 0 1000))
 
-let prop_tabu_kill_resume_bit_identical =
+let prop_one_racer_matches_plain_searcher =
   QCheck2.Test.make
-    ~name:"tabu killed at any point resumes bit-identically"
-    ~count:(prop_count 10)
-    ~print:(fun (seed, kill_at) -> Printf.sprintf "seed %d, kill %d" seed kill_at)
-    QCheck2.Gen.(pair (int_range 0 1000) (int_range 0 3_000))
-    (fun (seed, kill_at) ->
-      let reference = tabu_reference seed in
-      let store = Store.open_ ~dir:(temp_dir ()) in
-      ignore (tabu_persisted ~store ~stop:(stop_after kill_at) seed);
-      let resumed = tabu_persisted ~store seed in
-      check_result "resumed vs uninterrupted" reference resumed;
-      true)
-
-let genetic_reference seed =
-  Mapping.Genetic.search ~rng:(Rng.create ~seed)
-    ~config:(Mapping.Genetic.quick_config ~tiles:4)
-    ~tiles:4 ~objective:(fresh_objective ()) ~cores:4 ()
-
-let genetic_persisted ~store ?stop seed =
-  Mapping.Search_persist.genetic
-    ~journal:{ Mapping.Search_persist.store; key = "ga"; every = 100 }
-    ~rng:(Rng.create ~seed)
-    ~config:(Mapping.Genetic.quick_config ~tiles:4)
-    ~tiles:4 ~objective:(fresh_objective ()) ?stop ~cores:4 ()
-
-let prop_genetic_kill_resume_bit_identical =
-  QCheck2.Test.make
-    ~name:"genetic killed at any point resumes bit-identically"
-    ~count:(prop_count 10)
-    ~print:(fun (seed, kill_at) -> Printf.sprintf "seed %d, kill %d" seed kill_at)
-    QCheck2.Gen.(pair (int_range 0 1000) (int_range 0 3_000))
-    (fun (seed, kill_at) ->
-      let reference = genetic_reference seed in
-      let store = Store.open_ ~dir:(temp_dir ()) in
-      ignore (genetic_persisted ~store ~stop:(stop_after kill_at) seed);
-      let resumed = genetic_persisted ~store seed in
-      check_result "resumed vs uninterrupted" reference resumed;
-      true)
-
-(* --- only-SA portfolio is trajectory-identical to plain annealing --- *)
-
-let prop_only_sa_matches_plain_annealing =
-  QCheck2.Test.make
-    ~name:"a portfolio of SA alone replays plain annealing exactly"
-    ~count:(prop_count 10) ~print:string_of_int
-    QCheck2.Gen.(int_range 0 1000)
-    (fun seed ->
+    ~name:
+      "a portfolio of SA alone replays plain annealing exactly, as do tabu \
+       and GA alone"
+    ~count:(prop_count 15)
+    ~print:(fun (s, seed) ->
+      Printf.sprintf "%s, seed %d" (Mapping.Portfolio.strategy_to_string s) seed)
+    racer_gen
+    (fun (strategy, seed) ->
       let config = Mapping.Portfolio.quick_config ~tiles:4 in
       let report =
         Mapping.Portfolio.search ~rng:(Rng.create ~seed) ~config
-          ~strategies:[ Mapping.Portfolio.Sa ] ~tech ~crg ~cwg:Fig1.cwg
+          ~strategies:[ strategy ] ~tech ~crg ~cwg:Fig1.cwg
           ~objective_for:(fun _ -> fresh_objective ())
           ()
       in
       (* The portfolio hands its single racer the first split substream
          of the driver rng; with no rivals every round ceiling is
-         infinite, so the sliced run must retrace the plain one. *)
+         infinite, so the sliced run must retrace the plain one.  Tabu
+         and GA race through the same slices, and are journaled only
+         inside portfolio and decompose shards, so this is their
+         plain-searcher equivalence check too. *)
       let plain =
-        let root = Rng.create ~seed in
-        Mapping.Annealing.search ~rng:(Rng.split root)
-          ~config:config.Mapping.Portfolio.sa ~tiles:4
-          ~objective:(fresh_objective ()) ~cores:4 ()
+        let rng = Rng.split (Rng.create ~seed) in
+        let objective = fresh_objective () in
+        match strategy with
+        | Mapping.Portfolio.Sa ->
+          Mapping.Annealing.search ~rng ~config:config.Mapping.Portfolio.sa
+            ~tiles:4 ~objective ~cores:4 ()
+        | Mapping.Portfolio.Tabu ->
+          Mapping.Tabu.search ~rng ~config:config.Mapping.Portfolio.tabu
+            ~tiles:4 ~objective ~cores:4 ()
+        | Mapping.Portfolio.Genetic ->
+          Mapping.Genetic.search ~rng ~config:config.Mapping.Portfolio.genetic
+            ~tiles:4 ~objective ~cores:4 ()
+        | Mapping.Portfolio.Spiral | Mapping.Portfolio.Greedy -> assert false
       in
-      check_result "only-SA portfolio vs plain annealing" plain
+      check_result "one-racer portfolio vs plain searcher" plain
         report.Mapping.Portfolio.result;
       true)
 
@@ -299,23 +269,6 @@ let test_persist_rejects_strategy_mismatch () =
   Alcotest.(check bool)
     "renamed strategy list is refused" true
     (match run [ Mapping.Portfolio.Sa; Mapping.Portfolio.Genetic ] with
-    | exception Failure _ -> true
-    | _ -> false)
-
-let test_persist_rejects_cross_algorithm_shard () =
-  (* A tabu shard resumed as a genetic search must fail loudly — the
-     algorithm name is part of the fingerprint. *)
-  let store = Store.open_ ~dir:(temp_dir ()) in
-  ignore (tabu_persisted ~store ~stop:(stop_after 500) 3);
-  Alcotest.(check bool)
-    "tabu shard refused by genetic" true
-    (match
-       Mapping.Search_persist.genetic
-         ~journal:{ Mapping.Search_persist.store; key = "tabu"; every = 100 }
-         ~rng:(Rng.create ~seed:3)
-         ~config:(Mapping.Genetic.quick_config ~tiles:4)
-         ~tiles:4 ~objective:(fresh_objective ()) ~cores:4 ()
-     with
     | exception Failure _ -> true
     | _ -> false)
 
@@ -375,13 +328,9 @@ let suite =
       QCheck_alcotest.to_alcotest prop_race_beats_seeds;
       QCheck_alcotest.to_alcotest prop_race_jobs_invariant;
       QCheck_alcotest.to_alcotest prop_race_kill_resume_bit_identical;
-      QCheck_alcotest.to_alcotest prop_tabu_kill_resume_bit_identical;
-      QCheck_alcotest.to_alcotest prop_genetic_kill_resume_bit_identical;
-      QCheck_alcotest.to_alcotest prop_only_sa_matches_plain_annealing;
+      QCheck_alcotest.to_alcotest prop_one_racer_matches_plain_searcher;
       Alcotest.test_case "persist rejects strategy mismatch" `Quick
         test_persist_rejects_strategy_mismatch;
-      Alcotest.test_case "persist rejects cross-algorithm shard" `Quick
-        test_persist_rejects_cross_algorithm_shard;
       Alcotest.test_case "bad strategy lists rejected" `Quick
         test_race_rejects_bad_strategy_lists;
       Alcotest.test_case "strategy list parsing" `Quick
